@@ -1,7 +1,7 @@
 """Certified reduced-order models for parametrized linear-quadratic optimal
 control, with learned surrogates for the online phase."""
 
-from .numerics import InnerProduct, cg_solve, dotw, gram_schmidt_extend, normw
+from .numerics import InnerProduct, cg_solve, gram_schmidt_extend
 from .system import (
     ParameterDomain,
     ProblemFamily,
@@ -19,7 +19,6 @@ from .dynamics import (
     control_from_adjoint,
     control_norm_dt,
     evaluate_cost,
-    free_dynamics_endpoint,
     rhs_vector,
     solve_adjoint_backward,
     solve_state_forward,
@@ -29,7 +28,6 @@ from .greedy_rom import (
     ReducedBasis,
     ReducedSolution,
     TrainingData,
-    cheap_estimator_from_cache,
     greedy_offline,
     load_basis,
     load_training_data,

@@ -99,16 +99,13 @@ def _cmd_offline(args):
     train_set = experiment.training_parameters(cfg, family)
     basis, training_data = greedy_rom.greedy_offline(
         family, train_set, tol=cfg.tolerance, max_basis=cfg.max_basis,
-        cg_tol=cfg.cg_tol, track_true_errors=cfg.track_true_errors,
+        cg_tol=cfg.cg_tol, cg_max_iter=experiment._cg_max_iter(cfg),
+        track_true_errors=cfg.track_true_errors,
     )
     greedy_rom.save_basis(basis, outdir / "basis.crb")
     greedy_rom.save_training_data(training_data, outdir / "training_data.csv")
     experiment.save_config(cfg, outdir / "config.ini")
-    with open(outdir / "greedy_results.csv", "w", encoding="utf-8") as fh:
-        fh.write("iteration,basis_size,estimated_max_error,true_error_at_selected\n")
-        for i, step in enumerate(basis.history):
-            true_part = "" if step.true_error_at_selected is None else repr(step.true_error_at_selected)
-            fh.write(f"{i},{step.basis_size},{step.estimated_max_error!r},{true_part}\n")
+    experiment.write_greedy_history(basis.history, outdir / "greedy_results.csv")
     print(f"basis of size {basis.size} written to {outdir / 'basis.crb'}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import dotw, trapezoid_quad
+from .numerics import trapezoid_quad
 
 
 @dataclass
@@ -101,11 +101,6 @@ def solve_state_forward(inst, x_init, u=None):
     return Trajectory(times=inst.grid.nodes(), values=values, kind="state")
 
 
-def free_dynamics_endpoint(inst):
-    """Final state of the uncontrolled system started from x0."""
-    return solve_state_forward(inst, inst.x0, u=None).final
-
-
 def apply_gramian(inst, p):
     """Apply the weighted controllability Gramian to a vector, matrix-free.
 
@@ -126,15 +121,15 @@ def apply_system_operator(inst, p):
 
 
 def rhs_vector(inst):
-    """Right-hand side M (free-dynamics endpoint - target state)."""
-    return inst.apply_M(free_dynamics_endpoint(inst) - inst.xT)
+    """Right-hand side M (x(T) - xT), x the uncontrolled state started from x0."""
+    return inst.apply_M(solve_state_forward(inst, inst.x0).final - inst.xT)
 
 
 def evaluate_cost(inst, u):
     """Quadratic cost of a control: final-state mismatch plus control energy."""
     state = solve_state_forward(inst, inst.x0, u)
     mismatch = state.final - inst.xT
-    tracking = 0.5 * dotw(mismatch, inst.apply_M(mismatch), inst.ip)
+    tracking = 0.5 * inst.ip.dot(mismatch, inst.apply_M(mismatch))
     energies = np.einsum("ki,ij,kj->k", u.values, inst.R, u.values)
     return tracking + 0.5 * trapezoid_quad(energies, inst.grid.dt)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics, greedy_rom, surrogates
 from .exact_solver import solve_exact
-from .numerics import normw, svd_singular_values
+from .numerics import svd_singular_values
 from .system import FAMILY_BUILDERS, sample_grid, sample_random
 
 FAILURE_MARKER = "run_failed.marker"
@@ -334,7 +334,7 @@ def _evaluate_test_parameter(config, family, basis, models, index, mu):
 
 
 def _model_result(inst, exact, solution, runtime):
-    true_err = normw(exact.phiT - solution.phiT_approx, inst.ip)
+    true_err = inst.ip.norm(exact.phiT - solution.phiT_approx)
     control_err = dynamics.control_norm_dt(
         dynamics.control_difference(exact.control, solution.control)
     )
@@ -426,6 +426,7 @@ def run_experiment(config, outdir=None, emit=True):
         stage = "emit-reports"
         if emit:
             emit_reports(report, outdir)
+            write_greedy_history(basis.history, outdir / "greedy_results.csv")
             greedy_rom.save_basis(basis, outdir / "basis.crb")
             greedy_rom.save_training_data(training_data, outdir / "training_data.csv")
             for kind, model in models.items():
@@ -499,18 +500,21 @@ def _write_singular_values_csv(spectra, path):
             fh.write(",".join(row) + "\n")
 
 
-def emit_reports(report, outdir):
-    """Write the greedy history, per-parameter errors and timing CSVs."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    with open(outdir / "greedy_results.csv", "w", encoding="utf-8") as fh:
+def write_greedy_history(history, path):
+    """Write the greedy history as ``greedy_results.csv``, one row per step."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("iteration,basis_size,estimated_max_error,true_error_at_selected\n")
-        for i, step in enumerate(report.greedy_history):
+        for i, step in enumerate(history):
             fh.write(
                 f"{i},{step.basis_size},{_fmt(step.estimated_max_error)},"
                 f"{_fmt(step.true_error_at_selected)}\n"
             )
+
+
+def emit_reports(report, outdir):
+    """Write the per-parameter error and timing CSVs."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     p = len(report.rows[0].parameter) if report.rows else 0
     param_cols = [f"mu_{i}" for i in range(p)]

@@ -20,7 +20,7 @@ from scipy.linalg import cho_factor, cho_solve
 from . import dynamics
 from .errors import GramMatrixError, GreedyBudgetError
 from .exact_solver import solve_exact
-from .numerics import InnerProduct, gram_schmidt_extend, normw
+from .numerics import InnerProduct, gram_schmidt_extend
 
 log = logging.getLogger(__name__)
 
@@ -109,12 +109,21 @@ class ReducedSolution:
     estimated_error: float | None = None
 
 
-def _solve_normal_equations(gram, proj, basis_size):
+def _project(images, rhs, ip):
+    """Least-squares fit of ``rhs`` by the columns of ``images`` in ``ip``.
+
+    Solves the normal equations and returns the coefficients a together with
+    the residual norm ||rhs - images @ a||.  With images[:, i] =
+    (I + M Gramian) phi_i this residual is the certificate of sum_i a_i phi_i,
+    obtained without further evolution solves.
+    """
+    basis_size = images.shape[1]
+    w = ip.weight
+    gram = w * (images.T @ images)
+    proj = w * (images.T @ rhs)
     try:
         factor = cho_factor(gram)
     except np.linalg.LinAlgError:
-        factor = None
-    if factor is None:
         jitter = 1e-14 * np.trace(gram) / max(basis_size, 1)
         try:
             factor = cho_factor(gram + jitter * np.eye(basis_size))
@@ -123,43 +132,27 @@ def _solve_normal_equations(gram, proj, basis_size):
                 f"normal-equation Gram matrix singular at basis size {basis_size}",
                 basis_size,
             ) from exc
-    return cho_solve(factor, proj)
+    coeffs = cho_solve(factor, proj)
+    return coeffs, ip.norm(rhs - images @ coeffs)
 
 
-def project_coefficients(inst, basis, perturbed_states=None, rhs=None):
+def project_coefficients(inst, basis, rhs=None):
     """Project the right-hand side onto the span of the perturbed states.
 
-    Computes (or reuses) x_i = (I + M Gramian) phi_i for every basis vector,
-    then solves the normal equations for the coefficients of the orthogonal
-    projection of the right-hand side onto span{x_i} in the weighted inner
-    product.  Returns (coeffs, perturbed_states, rhs) so callers can cache
-    the expensive pieces.
+    Computes x_i = (I + M Gramian) phi_i for every basis vector (2N sweeps)
+    and the right-hand side unless given (one sweep), then returns the
+    coefficients of the orthogonal projection of the right-hand side onto
+    span{x_i} in the weighted inner product, and the residual norm that
+    certifies the reconstructed adjoint.
     """
     if basis.size == 0:
         raise ValueError("cannot project onto an empty basis")
     if rhs is None:
         rhs = dynamics.rhs_vector(inst)
-    if perturbed_states is None:
-        perturbed_states = np.column_stack(
-            [dynamics.apply_system_operator(inst, phi) for phi in basis.vectors]
-        )
-    w = inst.ip.weight
-    gram = w * (perturbed_states.T @ perturbed_states)
-    proj = w * (perturbed_states.T @ rhs)
-    coeffs = _solve_normal_equations(gram, proj, basis.size)
-    return coeffs, perturbed_states, rhs
-
-
-def cheap_estimator_from_cache(coeffs, perturbed_states, rhs, ip):
-    """Residual estimator evaluated from cached operator images.
-
-    Equals the full estimator at the reconstructed adjoint because
-    (I + M Gramian) sum_i a_i phi_i = sum_i a_i x_i.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if perturbed_states.shape[1] != coeffs.shape[0]:
-        raise ValueError("coefficient/state-column count mismatch")
-    return normw(rhs - perturbed_states @ coeffs, ip)
+    images = np.column_stack(
+        [dynamics.apply_system_operator(inst, phi) for phi in basis.vectors]
+    )
+    return _project(images, rhs, inst.ip)
 
 
 def greedy_offline(
@@ -198,7 +191,7 @@ def greedy_offline(
     n_train = len(train_set)
     columns = [np.zeros((inst.n, 0)) for inst in instances]
     coeffs = [np.zeros(0) for _ in range(n_train)]
-    eta = np.array([normw(r, ip) for r in rhs])
+    eta = np.array([ip.norm(r) for r in rhs])
     selectable = np.ones(n_train, dtype=bool)
 
     vectors, selected, history = [], [], []
@@ -242,7 +235,7 @@ def greedy_offline(
                 approx = np.column_stack(vectors) @ coeffs[j]
             else:
                 approx = np.zeros(instances[j].n)
-            true_err = normw(exact.phiT - approx, ip)
+            true_err = ip.norm(exact.phiT - approx)
         new_vec = gram_schmidt_extend(vectors, exact.phiT, ip, drop_tol=drop_tol)
         if new_vec is None:
             log.warning(
@@ -259,11 +252,7 @@ def greedy_offline(
         for i in range(n_train):
             x_new = dynamics.apply_system_operator(instances[i], new_vec)
             columns[i] = np.column_stack([columns[i], x_new])
-            w = ip.weight
-            gram = w * (columns[i].T @ columns[i])
-            proj = w * (columns[i].T @ rhs[i])
-            coeffs[i] = _solve_normal_equations(gram, proj, len(vectors))
-            eta[i] = cheap_estimator_from_cache(coeffs[i], columns[i], rhs[i], ip)
+            coeffs[i], eta[i] = _project(columns[i], rhs[i], ip)
 
     return make_basis(), make_training_data()
 
@@ -272,16 +261,17 @@ def rom_online(inst, basis, certify=True):
     """Evaluate the reduced model at one instance (Galerkin projection).
 
     Projects onto the perturbed-state span, reconstructs the approximate
-    final-time adjoint and its control, and, if requested, certifies the
-    result with the cached-residual estimator (no extra evolution solves).
+    final-time adjoint and its control, and, if requested, reports the
+    projection residual as its certificate (no extra evolution solves).
+    A query costs 2N + 2 sweeps.
     """
     if basis.size == 0:
         raise ValueError("reduced basis is empty")
-    coeffs, states, rhs = project_coefficients(inst, basis)
+    coeffs, eta = project_coefficients(inst, basis)
     phi = basis.combine(coeffs)
     adj = dynamics.solve_adjoint_backward(inst, phi)
     control = dynamics.control_from_adjoint(inst, adj)
-    est = cheap_estimator_from_cache(coeffs, states, rhs, inst.ip) if certify else None
+    est = eta if certify else None
     return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
 
 

@@ -35,22 +35,12 @@ class InnerProduct:
         return float(np.sqrt(self.weight) * np.linalg.norm(x))
 
 
-def dotw(x, y, ip):
-    """Weighted inner product of two equally sized vectors."""
-    return ip.dot(x, y)
-
-
-def normw(x, ip):
-    """Norm induced by the weighted inner product."""
-    return ip.norm(x)
-
-
 def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, x0=None):
     """Conjugate gradients for a self-adjoint positive-definite operator.
 
     ``apply`` maps a vector to a vector and must be linear, self-adjoint and
     positive-definite with respect to ``ip``.  Iterates until the residual
-    norm (in ``ip``) drops to ``tol``; returns ``(x, n_iter)``.
+    norm (in ``ip``) drops to ``tol``; returns ``(x, n_iter, residual_norm)``.
 
     The recurrence residual drifts away from the true residual near the
     round-off floor, so whenever it signals convergence the true residual
@@ -76,11 +66,11 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, x0=None):
     zero_start = x0 is None
     while True:
         r = b.copy() if zero_start and iters == 0 else b - apply(x)
-        res_norm = normw(r, ip)
+        res_norm = ip.norm(r)
         if res_norm < best_res:
             best_x, best_res = x.copy(), res_norm
         if res_norm <= tol:
-            return x, iters
+            return x, iters, res_norm
         if iters >= max_iter:
             raise ConvergenceError(
                 f"cg did not reach tol={tol:.3e} within {max_iter} iterations "
@@ -88,11 +78,11 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, x0=None):
                 best_x, best_res, max_iter,
             )
         p = r.copy()
-        rs = dotw(r, r, ip)
+        rs = ip.dot(r, r)
         while iters < max_iter:
             Ap = apply(p)
             iters += 1
-            pAp = dotw(p, Ap, ip)
+            pAp = ip.dot(p, Ap)
             if pAp <= 0.0:
                 raise ConvergenceError(
                     f"operator not positive-definite along search direction "
@@ -102,9 +92,9 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, x0=None):
             alpha = rs / pAp
             x = x + alpha * p
             r = r - alpha * Ap
-            if normw(r, ip) <= tol:
+            if ip.norm(r) <= tol:
                 break  # verify against the recomputed residual
-            rs_new = dotw(r, r, ip)
+            rs_new = ip.dot(r, r)
             p = r + (rs_new / rs) * p
             rs = rs_new
 
@@ -114,17 +104,17 @@ def gram_schmidt_extend(basis, v, ip, drop_tol=1e-10):
 
     Modified Gram-Schmidt with exactly one re-orthogonalization pass.
     Returns the new unit vector, or ``None`` when the post-projection norm
-    falls below ``drop_tol * normw(v)``, signalling (near-)linear dependence.
+    falls below ``drop_tol * ip.norm(v)``, signalling (near-)linear dependence.
     """
     v = np.asarray(v, dtype=float)
-    ref_norm = normw(v, ip)
+    ref_norm = ip.norm(v)
     if ref_norm == 0.0:
         return None
     w = v.copy()
     for _ in range(2):
         for phi in basis:
-            w = w - dotw(phi, w, ip) * phi
-    norm_w = normw(w, ip)
+            w = w - ip.dot(phi, w) * phi
+    norm_w = ip.norm(w)
     if norm_w < drop_tol * ref_norm:
         return None
     return w / norm_w

@@ -9,13 +9,11 @@ from ctrlrom.dynamics import (
     control_from_adjoint,
     control_norm_dt,
     evaluate_cost,
-    free_dynamics_endpoint,
     rhs_vector,
     solve_adjoint_backward,
     solve_state_forward,
 )
 from ctrlrom.exact_solver import solve_exact
-from ctrlrom.numerics import dotw, normw
 from ctrlrom.system import build_heat_family
 
 from conftest import make_instance, scalar_instance
@@ -109,20 +107,20 @@ class TestStateForward:
 class TestFreeDynamics:
     def test_zero_initial_state(self):
         inst = scalar_instance(a=-3.0, x0=0.0)
-        assert free_dynamics_endpoint(inst)[0] == 0.0
+        assert solve_state_forward(inst, inst.x0).final[0] == 0.0
 
     def test_zero_generator(self, rng):
         x0 = rng.standard_normal(5)
         inst = make_instance(np.zeros((5, 5)), np.zeros((5, 1)), x0, np.zeros(5),
                              np.eye(5), [[1.0]])
-        np.testing.assert_allclose(free_dynamics_endpoint(inst), x0, atol=1e-14)
+        np.testing.assert_allclose(solve_state_forward(inst, inst.x0).final, x0, atol=1e-14)
 
     def test_tiny_heat_matches_matrix_exponential(self):
         # oracle: dense expm of the assembled generator
         fam = build_heat_family(n_y=4, T=0.1, steps_per_point=100)
         inst = fam.build([1.0, 1.0])
         expected = expm(0.1 * inst.A) @ inst.x0
-        assert normw(free_dynamics_endpoint(inst) - expected, inst.ip) <= 1e-6
+        assert inst.ip.norm(solve_state_forward(inst, inst.x0).final - expected) <= 1e-6
 
 
 class TestGramian:
@@ -149,9 +147,9 @@ class TestGramian:
         for _ in range(10):
             p, q = rng.standard_normal(6), rng.standard_normal(6)
             lp, lq = apply_gramian(inst, p), apply_gramian(inst, q)
-            defect = abs(dotw(lp, q, inst.ip) - dotw(p, lq, inst.ip))
-            assert defect <= 1e-8 * normw(p, inst.ip) * normw(q, inst.ip)
-            assert dotw(p, lp, inst.ip) >= -1e-10
+            defect = abs(inst.ip.dot(lp, q) - inst.ip.dot(p, lq))
+            assert defect <= 1e-8 * inst.ip.norm(p) * inst.ip.norm(q)
+            assert inst.ip.dot(p, lp) >= -1e-10
 
 
 class TestSystemOperator:

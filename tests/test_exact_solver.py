@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ctrlrom.dynamics import Trajectory, evaluate_cost
+from ctrlrom import exact_solver
+from ctrlrom.dynamics import (
+    Trajectory,
+    apply_system_operator,
+    control_from_adjoint,
+    evaluate_cost,
+    rhs_vector,
+    solve_adjoint_backward,
+    solve_state_forward,
+)
+from ctrlrom.errors import ConvergenceError
 from ctrlrom.exact_solver import (
     assemble_dense_operator,
     error_estimator,
     operator_norm,
     solve_exact,
 )
-from ctrlrom.numerics import normw
-from ctrlrom.system import build_heat_family
+from ctrlrom.system import build_heat_family, build_wave_family
 
 from conftest import make_instance, scalar_instance
 
@@ -33,15 +44,24 @@ class TestSolveExact:
         inst = fam.build([1.3, 0.9])
         sol = solve_exact(inst, cg_tol=1e-12)
         dense = assemble_dense_operator(inst)
-        from ctrlrom.dynamics import rhs_vector
-
         expected = np.linalg.solve(dense, rhs_vector(inst))
-        assert normw(sol.phiT - expected, inst.ip) <= 1e-9
+        assert inst.ip.norm(sol.phiT - expected) <= 1e-9
 
     def test_residual_invariant(self):
         fam = build_heat_family(n_y=6, T=0.1, steps_per_point=10)
         sol = solve_exact(fam.build([1.8, 0.6]), cg_tol=1e-12)
         assert sol.residual_norm <= 1e-12
+
+    def test_unverified_residual_raises(self, monkeypatch):
+        # a CG result whose verified residual misses the tolerance must not
+        # pass as an exact solution
+        inst = build_heat_family(n_y=4, T=0.1, steps_per_point=10).build([1.5, 1.0])
+        monkeypatch.setattr(exact_solver, "cg_solve",
+                            lambda *args, **kwargs: (np.zeros(inst.n), 3, 1e-6))
+        with pytest.raises(ConvergenceError) as err:
+            solve_exact(inst, cg_tol=1e-12)
+        assert err.value.residual_norm == 1e-6
+        assert err.value.iterations == 3
 
     def test_first_order_optimality(self, rng):
         # J(u* + eps v) >= J(u*) - 1e-6 for random directions
@@ -64,15 +84,13 @@ class TestErrorEstimator:
         inst = fam.build([1.1, 1.3])
         cg_tol = 1e-12
         sol = solve_exact(inst, cg_tol=cg_tol)
-        assert error_estimator(inst, sol.phiT) <= max(cg_tol * 10, 1e-10)
+        assert error_estimator(inst, sol.phiT)[0] <= max(cg_tol * 10, 1e-10)
 
     def test_at_zero_equals_rhs_norm(self):
-        from ctrlrom.dynamics import rhs_vector
-
         fam = build_heat_family(n_y=5, T=0.1, steps_per_point=10)
         inst = fam.build([1.9, 0.7])
-        assert error_estimator(inst, np.zeros(5)) == pytest.approx(
-            normw(rhs_vector(inst), inst.ip), rel=1e-12
+        assert error_estimator(inst, np.zeros(5))[0] == pytest.approx(
+            inst.ip.norm(rhs_vector(inst)), rel=1e-12
         )
 
     def test_reliability_lower_bound(self, rng):
@@ -83,7 +101,7 @@ class TestErrorEstimator:
         for _ in range(10):
             delta = rng.standard_normal(6)
             p = sol.phiT + delta
-            assert error_estimator(inst, p) >= normw(delta, inst.ip) * (1.0 - 1e-6)
+            assert error_estimator(inst, p)[0] >= inst.ip.norm(delta) * (1.0 - 1e-6)
 
     def test_reliability_for_adjoint_distance(self, rng):
         fam = build_heat_family(n_y=6, T=0.1, steps_per_point=10)
@@ -91,8 +109,8 @@ class TestErrorEstimator:
         sol = solve_exact(inst, cg_tol=1e-13)
         for scale in (1e-3, 1.0, 10.0):
             p = sol.phiT + scale * rng.standard_normal(6)
-            eta = error_estimator(inst, p)
-            assert normw(sol.phiT - p, inst.ip) <= eta * (1.0 + 1e-6)
+            eta, _, _ = error_estimator(inst, p)
+            assert inst.ip.norm(sol.phiT - p) <= eta * (1.0 + 1e-6)
 
     def test_efficiency_upper_bound_tiny(self, rng):
         # eta(p) <= |I + M Gramian|_op * |phi* - p| via the dense oracle
@@ -102,19 +120,46 @@ class TestErrorEstimator:
         bound = operator_norm(assemble_dense_operator(inst))
         for _ in range(10):
             p = sol.phiT + rng.standard_normal(4)
-            eta = error_estimator(inst, p)
-            assert eta <= bound * normw(sol.phiT - p, inst.ip) * (1.0 + 1e-6)
+            eta, _, _ = error_estimator(inst, p)
+            assert eta <= bound * inst.ip.norm(sol.phiT - p) * (1.0 + 1e-6)
 
-    def test_precomputed_rhs_matches(self):
-        from ctrlrom.dynamics import rhs_vector
-
+    def test_returns_control_and_state_of_the_adjoint(self, rng):
+        # the certificate's by-products are the control induced by p and
+        # the state that control drives from x0
         fam = build_heat_family(n_y=5, T=0.1, steps_per_point=10)
         inst = fam.build([1.2, 0.8])
-        rhs = rhs_vector(inst)
-        p = np.linspace(0.0, 1.0, 5)
-        assert error_estimator(inst, p, precomputed_rhs=rhs) == pytest.approx(
-            error_estimator(inst, p), rel=1e-14
+        p = rng.standard_normal(5)
+        _, control, state = error_estimator(inst, p)
+        expected = control_from_adjoint(inst, solve_adjoint_backward(inst, p))
+        np.testing.assert_array_equal(control.values, expected.values)
+        np.testing.assert_array_equal(
+            state.values, solve_state_forward(inst, inst.x0, expected).values
         )
+
+
+# tiny instances: heat with n_y <= 8, wave with n_y <= 4 (state dimension 2 n_y)
+_tiny_instances = st.one_of(
+    st.builds(lambda n_y, mu: build_heat_family(n_y=n_y, T=0.1, steps_per_point=10).build(mu),
+              st.integers(2, 8),
+              st.tuples(st.floats(1.0, 2.0), st.floats(0.5, 1.5))),
+    st.builds(lambda n_y, mu: build_wave_family(n_y=n_y, T=1.0, steps_per_point=10).build([mu]),
+              st.integers(2, 4),
+              st.floats(3.0, 10.0)),
+)
+
+
+class TestCertificateProperties:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inst=_tiny_instances, seed=st.integers(0, 2**32 - 1))
+    def test_equals_system_residual_and_bounds_true_error(self, inst, seed):
+        p = np.random.default_rng(seed).standard_normal(inst.n)
+        eta, _, _ = error_estimator(inst, p)
+        residual = inst.ip.norm(rhs_vector(inst) - apply_system_operator(inst, p))
+        assert eta == pytest.approx(residual, rel=1e-9)
+        cg_tol = 1e-12
+        exact = solve_exact(inst, cg_tol=cg_tol)
+        # the CG solution is within cg_tol of the optimal adjoint
+        assert inst.ip.norm(exact.phiT - p) <= eta * (1 + 1e-6) + cg_tol
 
 
 class TestDenseOracle:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctrlrom.cli import main
-from ctrlrom.errors import GreedyBudgetError
+from ctrlrom.errors import ConvergenceError, GreedyBudgetError
 from ctrlrom.experiment import (
     ExperimentConfig,
     FAILURE_MARKER,
@@ -181,10 +181,14 @@ class TestCli:
         save_config(cfg, cfg_path)
         assert main(["offline", "--config", str(cfg_path)]) == 0
         assert (outdir / "basis.crb").exists()
+        history = (outdir / "greedy_results.csv").read_bytes()
         assert main(["train-surrogates", "--config", str(cfg_path)]) == 0
         assert (outdir / "surrogate_gpr.csv").exists()
         assert main(["online", "--config", str(cfg_path)]) == 0
         assert (outdir / "timings.csv").exists()
+        # the online stage has no greedy history to write and keeps the
+        # offline stage's file
+        assert (outdir / "greedy_results.csv").read_bytes() == history
 
     def test_flag_overrides(self, tmp_path):
         outdir = tmp_path / "flags"
@@ -194,6 +198,12 @@ class TestCli:
             "--tolerance", "1e-3", "--output-dir", str(outdir),
         ]) == 0
         assert (outdir / "basis.crb").exists()
+
+    def test_offline_honours_cg_max_iter(self, tmp_path):
+        # as full-run does, the offline stage stops at the CG iteration cap
+        with pytest.raises(ConvergenceError):
+            main(["offline", "--family", "wave", "--n-y", "8", "--train-grid", "4",
+                  "--cg-max-iter", "2", "--output-dir", str(tmp_path)])
 
     def test_svd_diag_command(self, tmp_path):
         outdir = tmp_path / "svd"

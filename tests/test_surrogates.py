@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ctrlrom.greedy_rom import TrainingData, greedy_offline, rom_online
-from ctrlrom.numerics import normw
 from ctrlrom.surrogates import (
     GPRegressor,
     KernelRegressor,
@@ -218,8 +217,9 @@ class TestSurrogateOnline:
         inst = fam.build(mu)
         via_surrogate = surrogate_online(inst, basis, model, certify=True)
         via_rom = rom_online(inst, basis, certify=True)
-        assert normw(via_surrogate.phiT_approx - via_rom.phiT_approx, inst.ip) <= 1e-12
+        assert inst.ip.norm(via_surrogate.phiT_approx - via_rom.phiT_approx) <= 1e-12
         assert abs(via_surrogate.estimated_error - via_rom.estimated_error) <= 1e-10
+        assert via_surrogate.estimated_error == pytest.approx(via_rom.estimated_error, rel=1e-10)
 
     def test_certified_error_dominates_true_error(self, heat_pipeline):
         from ctrlrom.exact_solver import solve_exact
@@ -232,7 +232,7 @@ class TestSurrogateOnline:
             inst = fam.build(mu)
             sol = surrogate_online(inst, basis, model, certify=True)
             exact = solve_exact(inst, cg_tol=1e-13)
-            true_err = normw(exact.phiT - sol.phiT_approx, inst.ip)
+            true_err = inst.ip.norm(exact.phiT - sol.phiT_approx)
             assert true_err <= sol.estimated_error * (1 + 1e-6)
 
     def test_size_mismatch_rejected(self, heat_pipeline):
@@ -248,7 +248,7 @@ class TestIsometry:
         _, basis, _ = heat_pipeline
         a = rng.standard_normal(basis.size)
         b = rng.standard_normal(basis.size)
-        lhs = normw(basis.combine(a) - basis.combine(b), basis.ip)
+        lhs = basis.ip.norm(basis.combine(a) - basis.combine(b))
         assert abs(lhs - np.linalg.norm(a - b)) <= 1e-10
 
 
@@ -286,5 +286,5 @@ class TestAudit:
         for row, (mu, alpha) in zip(report.rows, subset.pairs):
             recomputed = float(np.linalg.norm(alpha - model.predict(mu)))
             assert abs(row.coefficient_error - recomputed) <= 1e-10
-            shift = normw(basis.combine(alpha) - basis.combine(model.predict(mu)), basis.ip)
+            shift = basis.ip.norm(basis.combine(alpha) - basis.combine(model.predict(mu)))
             assert abs(row.adjoint_shift - shift) <= 1e-10
