@@ -16,7 +16,6 @@ from .dynamics import (
     Trajectory,
     apply_gramian,
     apply_system_operator,
-    control_from_adjoint,
     control_norm_dt,
     evaluate_cost,
     rhs_vector,

@@ -18,8 +18,6 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import experiment, greedy_rom, surrogates
 
 
@@ -120,9 +118,9 @@ def _cmd_train_surrogates(args):
     )
     models = experiment.fit_surrogates(cfg, training_data)
     for kind, model in models.items():
-        suffix = "bin" if kind == "mlp" else "csv"
-        model.save(outdir / f"surrogate_{kind}.{suffix}")
-        print(f"fitted {kind} surrogate -> {outdir / f'surrogate_{kind}.{suffix}'}")
+        path = experiment.surrogate_path(outdir, kind)
+        model.save(path)
+        print(f"fitted {kind} surrogate -> {path}")
     return 0
 
 
@@ -133,22 +131,11 @@ def _cmd_online(args):
     family = experiment.build_family(cfg)
     models = {}
     for kind in cfg.surrogate_kinds:
-        suffix = "bin" if kind == "mlp" else "csv"
-        path = outdir / f"surrogate_{kind}.{suffix}"
+        path = experiment.surrogate_path(outdir, kind)
         if path.exists():
             models[kind] = surrogates.load_model(path)
     train_set = experiment.training_parameters(cfg, family)
-    test_set = experiment.test_parameters(cfg, family, exclude=train_set)
-    report = experiment.RunReport(
-        config=cfg, greedy_history=basis.history, basis_size=basis.size,
-        model_names=["g-rom", *models.keys()],
-    )
-    report.rows = experiment._evaluate_test_set(cfg, family, basis, models, test_set)
-    if report.rows:
-        report.exact_avg_runtime = float(
-            np.mean([row.exact_runtime for row in report.rows])
-        )
-    experiment._check_invariants(report)
+    report = experiment.evaluate_online(cfg, family, basis, models, train_set)
     experiment.emit_reports(report, outdir)
     _print_summaries(report)
     return 0 if report.ok() else 1

@@ -6,6 +6,15 @@ averaged over consecutive nodes, which keeps the forward and backward
 discretizations adjoint-consistent: the resulting discrete controllability
 Gramian is symmetric positive-semidefinite up to round-off, so conjugate
 gradients can be applied to the final-time adjoint system.
+
+Each sweep takes a vector (n,) or a block (n, k) and returns only what its
+callers use: the backward sweep the induced control, the forward sweep the
+final state.  Both step through the grid in chunks of ``_CHUNK`` steps and
+keep no trajectory, so they work in O(_CHUNK * n * k + n_t * m * k) floats.
+A step multiplies the k vectors one by one inside one numpy call, which
+keeps each block column bit-identical to the single-vector result: the
+certificates cancel O(1) terms down to tiny residuals and would otherwise
+change with the grouping of the vectors.
 """
 
 from dataclasses import dataclass
@@ -14,13 +23,15 @@ import numpy as np
 
 from .numerics import trapezoid_quad
 
+_CHUNK = 128  # steps whose controls or input terms form one matrix product
+
 
 @dataclass
 class Trajectory:
     """Node-indexed values of a state, adjoint or control over the grid."""
 
     times: np.ndarray
-    values: np.ndarray  # shape (n_nodes, dim)
+    values: np.ndarray  # shape (n_nodes, dim) or, for a block, (n_nodes, dim, k)
     kind: str  # "state" | "adjoint" | "control"
 
     def __post_init__(self):
@@ -33,102 +44,113 @@ class Trajectory:
         if not np.all(np.isfinite(self.values)):
             raise FloatingPointError(f"non-finite entries in {self.kind} trajectory")
 
-    @property
-    def final(self):
-        return self.values[-1]
 
-    @property
-    def initial(self):
-        return self.values[0]
+def _rows(inst, v, what):
+    """The k vectors of a vector (n,) or a block (n, k) as the rows of a (k, n) view."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != inst.n:
+        raise ValueError(f"{what} must have shape ({inst.n},) or ({inst.n}, k), got {v.shape}")
+    return v.reshape(inst.n, -1).T
+
+
+def _controls(inst, phi):
+    """u = -R^{-1} B* phi for adjoints phi of shape (L, k, n, 1); returns (L, m, k)."""
+    L, k = phi.shape[:2]
+    u = -inst.solve_R(inst.B_adj @ phi.reshape(L * k, inst.n).T)
+    return u.reshape(inst.m, L, k).transpose(1, 0, 2)
 
 
 def solve_adjoint_backward(inst, pT):
-    """Solve -phi' = A* phi backward from phi(T) = pT.
+    """Control u = -R^{-1} B* phi induced by the adjoint with phi(T) = pT.
 
-    Crank-Nicolson step: (I - dt/2 A*) phi_k = (I + dt/2 A*) phi_{k+1},
-    realized through the transposed one-step propagator.
+    Solves -phi' = A* phi backward with the Crank-Nicolson step
+    (I - dt/2 A*) phi_k = (I + dt/2 A*) phi_{k+1}, realized through the
+    transposed one-step propagator, and returns the control at every node as
+    a ``Trajectory(kind="control")`` with values of shape (n_t + 1, m) for a
+    vector pT and (n_t + 1, m, k) for a block pT of shape (n, k).  Adjoint
+    values are kept for one chunk of steps only.
     """
-    pT = np.asarray(pT, dtype=float)
-    if pT.shape != (inst.n,):
-        raise ValueError(f"terminal adjoint must have length {inst.n}")
+    rows = _rows(inst, pT, "terminal adjoint")
+    k = rows.shape[0]
     n_t = inst.grid.n_t
     S_T = inst.step_propagator_T
-    values = np.empty((n_t + 1, inst.n))
-    values[n_t] = pT
-    for k in range(n_t - 1, -1, -1):
-        values[k] = S_T @ values[k + 1]
-    return Trajectory(times=inst.grid.nodes(), values=values, kind="adjoint")
-
-
-def control_from_adjoint(inst, adj):
-    """Evaluate u = -R^{-1} B* phi at every node of an adjoint trajectory."""
-    if adj.kind != "adjoint":
-        raise ValueError("control_from_adjoint expects an adjoint trajectory")
-    # B* maps the h-weighted state space into the Euclidean control space
-    rhs = inst.B_adj @ adj.values.T  # (m, n_nodes)
-    u = -inst.solve_R(rhs)
-    return Trajectory(times=adj.times, values=u.T, kind="control")
+    u = np.empty((n_t + 1, inst.m, k))
+    phi = np.empty((min(_CHUNK, n_t) + 1, k, inst.n, 1))
+    phi[0, :, :, 0] = rows
+    for hi in range(n_t, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        phi[hi - lo] = phi[0]  # phi[i] holds the k adjoints at node lo + i
+        for i in range(hi - lo - 1, -1, -1):
+            np.matmul(S_T, phi[i + 1], out=phi[i])
+        u[lo : hi + 1] = _controls(inst, phi[: hi - lo + 1])
+    values = u if np.ndim(pT) == 2 else u[:, :, 0]
+    return Trajectory(times=inst.grid.nodes(), values=values, kind="control")
 
 
 def solve_state_forward(inst, x_init, u=None):
-    """Solve x' = A x + B u forward from x(0) = x_init.
+    """Final state x(T) of x' = A x + B u started from x(0) = x_init.
 
     Crank-Nicolson with the control averaged over consecutive nodes:
     (I - dt/2 A) x_{k+1} = (I + dt/2 A) x_k + dt/2 (B u_k + B u_{k+1}).
-    ``u = None`` means zero control.
+    ``u = None`` means zero control.  x_init is a vector of shape (n,) or a
+    block of shape (n, k), driven by a control with values of shape
+    (n_t + 1, m) or (n_t + 1, m, k); the result has the shape of x_init.
     """
-    x_init = np.asarray(x_init, dtype=float)
-    if x_init.shape != (inst.n,):
-        raise ValueError(f"initial state must have length {inst.n}")
+    rows = _rows(inst, x_init, "initial state")
+    k = rows.shape[0]
     n_t = inst.grid.n_t
     S = inst.step_propagator
-    values = np.empty((n_t + 1, inst.n))
-    values[0] = x_init
-    if u is None:
-        for k in range(n_t):
-            values[k + 1] = S @ values[k]
-    else:
-        if u.values.shape[0] != n_t + 1:
-            raise ValueError("control trajectory not aligned with the time grid")
-        # premultiply the node-averaged controls by (I - dt/2 A)^{-1} B once
-        g = (0.5 * inst.grid.dt) * (
-            inst.step_input_map @ (u.values[:-1] + u.values[1:]).T
-        )  # (n, n_t)
-        for k in range(n_t):
-            values[k + 1] = S @ values[k] + g[:, k]
-    if not np.all(np.isfinite(values[-1])):
+    if u is not None:
+        if u.values.shape != (n_t + 1, inst.m) + np.shape(x_init)[1:]:
+            raise ValueError("control trajectory not aligned with the time grid and the state")
+        controls = u.values.reshape(n_t + 1, inst.m, k)
+    x = np.empty((k, inst.n, 1))
+    x[:, :, 0] = rows
+    tmp = np.empty_like(x)
+    for lo in range(0, n_t, _CHUNK):
+        hi = min(lo + _CHUNK, n_t)
+        if u is not None:
+            # (I - dt/2 A)^{-1} B dt/2 (u_j + u_{j+1}) for the chunk's steps
+            s = controls[lo:hi] + controls[lo + 1 : hi + 1]
+            g = s.transpose(0, 2, 1).reshape(-1, inst.m) @ inst.step_input_map.T
+            g *= 0.5 * inst.grid.dt
+            g = g.reshape(hi - lo, k, inst.n, 1)
+        for j in range(hi - lo):
+            np.matmul(S, x, out=tmp)
+            if u is not None:
+                tmp += g[j]
+            x, tmp = tmp, x
+    if not np.all(np.isfinite(x)):
         raise FloatingPointError("state propagation produced non-finite values")
-    return Trajectory(times=inst.grid.nodes(), values=values, kind="state")
+    return x[:, :, 0].T if np.ndim(x_init) == 2 else x[0, :, 0]
 
 
 def apply_gramian(inst, p):
-    """Apply the weighted controllability Gramian to a vector, matrix-free.
+    """Apply the weighted controllability Gramian, matrix-free.
 
-    Solves the adjoint equation backward with phi(T) = p, evaluates the
-    induced control u = -R^{-1} B* phi, propagates the state forward from
-    zero, and returns -x(T).
+    p is a vector of shape (n,) or a block of shape (n, k).  One backward
+    sweep gives the control u = -R^{-1} B* phi induced by phi(T) = p, one
+    forward sweep from zero drives the state with it; the result is -x(T).
     """
-    adj = solve_adjoint_backward(inst, p)
-    u = control_from_adjoint(inst, adj)
-    state = solve_state_forward(inst, np.zeros(inst.n), u)
-    return -state.final
+    u = solve_adjoint_backward(inst, p)
+    return -solve_state_forward(inst, np.zeros(np.shape(p)), u)
 
 
 def apply_system_operator(inst, p):
-    """Apply p -> p + M Gramian(p), the matrix of the final-time adjoint system."""
+    """Apply p -> p + M Gramian(p), the matrix of the final-time adjoint system,
+    to a vector of shape (n,) or to each column of a block of shape (n, k)."""
     p = np.asarray(p, dtype=float)
     return p + inst.apply_M(apply_gramian(inst, p))
 
 
 def rhs_vector(inst):
     """Right-hand side M (x(T) - xT), x the uncontrolled state started from x0."""
-    return inst.apply_M(solve_state_forward(inst, inst.x0).final - inst.xT)
+    return inst.apply_M(solve_state_forward(inst, inst.x0) - inst.xT)
 
 
 def evaluate_cost(inst, u):
     """Quadratic cost of a control: final-state mismatch plus control energy."""
-    state = solve_state_forward(inst, inst.x0, u)
-    mismatch = state.final - inst.xT
+    mismatch = solve_state_forward(inst, inst.x0, u) - inst.xT
     tracking = 0.5 * inst.ip.dot(mismatch, inst.apply_M(mismatch))
     energies = np.einsum("ki,ij,kj->k", u.values, inst.R, u.values)
     return tracking + 0.5 * trapezoid_quad(energies, inst.grid.dt)

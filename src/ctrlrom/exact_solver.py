@@ -8,7 +8,7 @@ each of which costs one backward and one forward evolution solve (two
 sweeps).  An exact solve whose CG needs no restart costs
 2 * (CG iterations) + 5 sweeps: one for the right-hand side, one
 verified-residual application at convergence, and two for the control and
-state of the solution.
+final state of the solution.
 
 The certificate of an approximate adjoint p is the residual norm of that
 system.  By linearity it equals the optimality residual
@@ -28,11 +28,11 @@ from .numerics import cg_solve
 
 @dataclass
 class ExactSolution:
-    """Optimal final-time adjoint with the reconstructed control and state."""
+    """Optimal final-time adjoint with the reconstructed control and final state."""
 
     phiT: np.ndarray
     control: dynamics.Trajectory
-    state: dynamics.Trajectory
+    state: np.ndarray  # x(T) driven from x0 by the optimal control
     cg_iters: int
     residual_norm: float
 
@@ -41,7 +41,7 @@ def solve_exact(inst, cg_tol=1e-12, max_iter=None):
     """Solve the optimal control problem for one instance.
 
     Runs matrix-free CG on the final-time adjoint system, then reconstructs
-    the optimal control and state from the adjoint.  ``residual_norm`` is
+    the optimal control and the final state from the adjoint.  ``residual_norm`` is
     the residual CG verified; ConvergenceError is raised if it exceeds
     ``cg_tol``.
     """
@@ -65,36 +65,35 @@ def solve_exact(inst, cg_tol=1e-12, max_iter=None):
 def error_estimator(inst, p):
     """Certificate of an approximate final-time adjoint p.
 
-    Runs one backward sweep from p, forms the control u = -R^{-1} B* phi and
-    one forward sweep from x0, and returns ``(eta, control, state)`` with
-    eta = ||M (x(T) - xT) - p||, which equals the residual norm
+    Runs one backward sweep from p, which yields the control
+    u = -R^{-1} B* phi, and one forward sweep from x0, and returns
+    ``(eta, control, final_state)`` with eta = ||M (x(T) - xT) - p||, which
+    equals the residual norm
     ||rhs - (I + M Gramian) p||.  Two-sided bound on the distance to the
     optimal final-time adjoint: eta is never below the true error and
     exceeds it at most by the operator norm of (I + M Gramian).
     """
     p = np.asarray(p, dtype=float)
-    adj = dynamics.solve_adjoint_backward(inst, p)
-    control = dynamics.control_from_adjoint(inst, adj)
-    state = dynamics.solve_state_forward(inst, inst.x0, control)
-    eta = inst.ip.norm(inst.apply_M(state.final - inst.xT) - p)
-    return eta, control, state
+    control = dynamics.solve_adjoint_backward(inst, p)
+    final_state = dynamics.solve_state_forward(inst, inst.x0, control)
+    eta = inst.ip.norm(inst.apply_M(final_state - inst.xT) - p)
+    return eta, control, final_state
 
 
 _DENSE_ORACLE_LIMIT = 64
 
 
 def assemble_dense_operator(inst):
-    """Densely assemble I + M Gramian by applying it to all unit vectors.
+    """Densely assemble I + M Gramian by applying it to the identity block.
 
-    Test oracle only; guarded to small instances because assembly costs n
-    full operator applications.
+    Test oracle only; guarded to small instances because assembly applies
+    the operator to n columns at once.
     """
     if inst.n > _DENSE_ORACLE_LIMIT:
         raise ValueError(
             f"dense assembly restricted to n <= {_DENSE_ORACLE_LIMIT}, got n = {inst.n}"
         )
-    cols = [dynamics.apply_system_operator(inst, e) for e in np.eye(inst.n)]
-    return np.column_stack(cols)
+    return dynamics.apply_system_operator(inst, np.eye(inst.n))
 
 
 def operator_norm(dense_op):

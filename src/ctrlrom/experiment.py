@@ -184,10 +184,6 @@ def training_parameters(config, family):
     return sample_grid(family.domain, list(config.train_grid))
 
 
-def test_parameters(config, family, exclude):
-    return sample_random(family.domain, config.test_count, seed=config.test_seed, exclude=exclude)
-
-
 def fit_surrogates(config, training_data):
     """Fit every requested surrogate on the greedy training pairs."""
     models = {}
@@ -295,14 +291,16 @@ def _evaluate_test_set(config, family, basis, models, test_set):
 
     Each parameter is independent (the evaluation is a pure function of
     immutable data); rows are reduced back in test-index order, so results
-    are identical for any worker count.
+    are identical for any worker count.  Workers inherit the shared context,
+    so the pool forks whatever the global start method; without fork the
+    evaluation runs serially.
     """
     tasks = list(enumerate(test_set))
     workers = min(config.workers, len(tasks))
-    if workers > 1 and multiprocessing.get_start_method() == "fork":
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         _POOL_CONTEXT.update(config=config, family=family, basis=basis, models=models)
         try:
-            with multiprocessing.Pool(processes=workers) as pool:
+            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
                 return pool.map(_evaluate_in_worker, tasks)
         finally:
             _POOL_CONTEXT.clear()
@@ -344,6 +342,25 @@ def _model_result(inst, exact, solution, runtime):
         control_error=control_err,
         runtime=runtime,
     )
+
+
+def evaluate_online(config, family, basis, models, train_set):
+    """Online stage: evaluate every model on random test parameters outside
+    ``train_set`` and check the run's invariants (nothing runs without a basis)."""
+    report = RunReport(config=config, greedy_history=basis.history, basis_size=basis.size,
+                       model_names=["g-rom", *models.keys()])
+    if config.test_count > 0 and basis.size > 0:
+        test_set = sample_random(family.domain, config.test_count, seed=config.test_seed,
+                                 exclude=train_set)
+        report.rows = _evaluate_test_set(config, family, basis, models, test_set)
+        report.exact_avg_runtime = float(np.mean([row.exact_runtime for row in report.rows]))
+        _check_invariants(report)
+    return report
+
+
+def surrogate_path(outdir, kind):
+    """File of the surrogate of ``kind``: binary for the mlp, CSV otherwise."""
+    return Path(outdir) / f"surrogate_{kind}.{'bin' if kind == 'mlp' else 'csv'}"
 
 
 def _check_invariants(report):
@@ -409,19 +426,7 @@ def run_experiment(config, outdir=None, emit=True):
         models = fit_surrogates(config, training_data) if basis.size else {}
 
         stage = "online-evaluation"
-        report = RunReport(
-            config=config,
-            greedy_history=basis.history,
-            basis_size=basis.size,
-            model_names=["g-rom", *models.keys()],
-        )
-        if config.test_count > 0 and basis.size > 0:
-            test_set = test_parameters(config, family, exclude=train_set)
-            report.rows = _evaluate_test_set(config, family, basis, models, test_set)
-            report.exact_avg_runtime = float(
-                np.mean([row.exact_runtime for row in report.rows])
-            )
-            _check_invariants(report)
+        report = evaluate_online(config, family, basis, models, train_set)
 
         stage = "emit-reports"
         if emit:
@@ -430,8 +435,7 @@ def run_experiment(config, outdir=None, emit=True):
             greedy_rom.save_basis(basis, outdir / "basis.crb")
             greedy_rom.save_training_data(training_data, outdir / "training_data.csv")
             for kind, model in models.items():
-                suffix = "bin" if kind == "mlp" else "csv"
-                model.save(outdir / f"surrogate_{kind}.{suffix}")
+                model.save(surrogate_path(outdir, kind))
     except Exception as exc:
         if emit:
             outdir.mkdir(parents=True, exist_ok=True)

@@ -139,8 +139,9 @@ def _project(images, rhs, ip):
 def project_coefficients(inst, basis, rhs=None):
     """Project the right-hand side onto the span of the perturbed states.
 
-    Computes x_i = (I + M Gramian) phi_i for every basis vector (2N sweeps)
-    and the right-hand side unless given (one sweep), then returns the
+    Computes x_i = (I + M Gramian) phi_i for all basis vectors at once (one
+    backward and one forward sweep over the N columns) and the right-hand
+    side unless given (one sweep), then returns the
     coefficients of the orthogonal projection of the right-hand side onto
     span{x_i} in the weighted inner product, and the residual norm that
     certifies the reconstructed adjoint.
@@ -149,9 +150,7 @@ def project_coefficients(inst, basis, rhs=None):
         raise ValueError("cannot project onto an empty basis")
     if rhs is None:
         rhs = dynamics.rhs_vector(inst)
-    images = np.column_stack(
-        [dynamics.apply_system_operator(inst, phi) for phi in basis.vectors]
-    )
+    images = dynamics.apply_system_operator(inst, basis.matrix())
     return _project(images, rhs, inst.ip)
 
 
@@ -263,14 +262,13 @@ def rom_online(inst, basis, certify=True):
     Projects onto the perturbed-state span, reconstructs the approximate
     final-time adjoint and its control, and, if requested, reports the
     projection residual as its certificate (no extra evolution solves).
-    A query costs 2N + 2 sweeps.
+    A query costs 4 sweeps, two of them over the N basis columns at once.
     """
     if basis.size == 0:
         raise ValueError("reduced basis is empty")
     coeffs, eta = project_coefficients(inst, basis)
     phi = basis.combine(coeffs)
-    adj = dynamics.solve_adjoint_backward(inst, phi)
-    control = dynamics.control_from_adjoint(inst, adj)
+    control = dynamics.solve_adjoint_backward(inst, phi)
     est = eta if certify else None
     return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
 
@@ -311,8 +309,13 @@ def load_basis(path):
         if header["format_version"] != BASIS_FORMAT_VERSION:
             raise ValueError(f"unsupported basis format version {header['format_version']}")
         n, N = header["n"], header["N"]
-        data = np.frombuffer(fh.read(8 * n * N), dtype="<f8")
-    mat = data.reshape((n, N), order="F")
+        payload = fh.read()
+    if len(payload) != 8 * n * N:
+        raise ValueError(
+            f"{path}: basis payload holds {len(payload)} bytes, header (n={n}, N={N}) "
+            f"promises {8 * n * N}"
+        )
+    mat = np.frombuffer(payload, dtype="<f8").reshape((n, N), order="F")
     return ReducedBasis(
         vectors=[mat[:, i].copy() for i in range(N)],
         selected_params=[np.array(p) for p in header["selected_params"]],
@@ -335,13 +338,24 @@ def save_training_data(data, path):
 
 
 def load_training_data(path, n_params):
-    """Read training pairs written by ``save_training_data``."""
+    """Read training pairs written by ``save_training_data``.
+
+    Every row must be newline-terminated and hold one value per header
+    column, and the header must name ``n_params`` parameter columns.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("mu_"):
-            raise ValueError("not a training-data CSV")
-        pairs = []
-        for line in fh:
-            values = [float(v) for v in line.strip().split(",")]
-            pairs.append((np.array(values[:n_params]), np.array(values[n_params:])))
+        lines = fh.read().split("\n")
+    columns = lines[0].split(",")
+    if not columns[0].startswith("mu_"):
+        raise ValueError(f"{path}: not a training-data CSV")
+    n_mu = sum(c.startswith("mu_") for c in columns)
+    if n_mu != n_params:
+        raise ValueError(f"{path}: header names {n_mu} parameter columns, expected {n_params}")
+    rows = [line.split(",") for line in lines[1:-1]]
+    if lines[-1] or any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"{path}: rows do not match the {len(columns)} header columns")
+    pairs = []
+    for row in rows:
+        values = [float(v) for v in row]
+        pairs.append((np.array(values[:n_params]), np.array(values[n_params:])))
     return TrainingData(pairs=pairs)

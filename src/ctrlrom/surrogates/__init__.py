@@ -68,7 +68,7 @@ def surrogate_online(inst, basis, model, certify=True):
         est, control, _ = error_estimator(inst, phi)
     else:
         est = None
-        control = dynamics.control_from_adjoint(inst, dynamics.solve_adjoint_backward(inst, phi))
+        control = dynamics.solve_adjoint_backward(inst, phi)
     return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
 
 

@@ -148,16 +148,21 @@ class GPRegressor(CoefficientRegressor):
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[0] != "# ctrlrom gpr model v1":
-            raise ValueError("not a gpr model file")
+            lines = fh.read().split("\n")
+        if lines[0] != "# ctrlrom gpr model v1":
+            raise ValueError(f"{path}: not a gpr model file")
         meta = dict(ln.split(",", 1) for ln in lines[1:7])
         model = cls(jitter=float(meta["jitter"]))
         model.c = float(meta["c"])
         model.length = float(meta["length"])
         m, p, N = int(meta["n_inputs"]), int(meta["p"]), int(meta["N"])
+        # 9 header lines, then 2 labelled blocks of m rows, all newline-terminated
+        if len(lines) != 11 + 2 * m + 1 or lines[-1]:
+            raise ValueError(f"{path}: file does not hold the {11 + 2 * m} lines of its header")
         model.y_mean = np.array([float(v) for v in lines[7].split(",")[1:]])
         model.y_std = np.array([float(v) for v in lines[8].split(",")[1:]])
+        if model.y_mean.shape != (N,) or model.y_std.shape != (N,):
+            raise ValueError(f"{path}: output normalization does not hold N = {N} values")
         start = lines.index("inputs") + 1
         model.inputs = np.array(
             [[float(v) for v in lines[start + i].split(",")] for i in range(m)]

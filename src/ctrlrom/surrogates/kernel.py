@@ -136,9 +136,9 @@ class KernelRegressor(CoefficientRegressor):
     @classmethod
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-        if not lines or lines[0] != "# ctrlrom kernel model v2":
-            raise ValueError("not a kernel model file")
+            lines = fh.read().split("\n")
+        if lines[0] != "# ctrlrom kernel model v2":
+            raise ValueError(f"{path}: not a kernel model file")
         meta = dict(ln.split(",", 1) for ln in lines[1:7])
         model = cls(
             beta=float(meta["beta"]),
@@ -146,6 +146,9 @@ class KernelRegressor(CoefficientRegressor):
             regularization=float(meta["regularization"]),
         )
         m, p, N = int(meta["n_centers"]), int(meta["p"]), int(meta["N"])
+        # 7 header lines, then 3 labelled blocks of m rows, all newline-terminated
+        if len(lines) != 10 + 3 * m + 1 or lines[-1]:
+            raise ValueError(f"{path}: file does not hold the {10 + 3 * m} lines of its header")
 
         def block(label, rows, cols):
             start = lines.index(label) + 1

@@ -191,9 +191,17 @@ class MLPRegressor(CoefficientRegressor):
             header = json.loads(fh.read(header_len).decode("utf-8"))
             if header["format_version"] != MLP_FORMAT_VERSION:
                 raise ValueError(f"unsupported mlp format version {header['format_version']}")
-            flat = np.frombuffer(fh.read(), dtype="<f8")
+            payload = fh.read()
+        sizes = header["layer_sizes"]
+        expected = 8 * sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
+        if len(payload) != expected:
+            raise ValueError(
+                f"{path}: mlp parameters hold {len(payload)} bytes, "
+                f"layer sizes {sizes} promise {expected}"
+            )
+        flat = np.frombuffer(payload, dtype="<f8")
         model = cls()
-        model.layer_sizes = header["layer_sizes"]
+        model.layer_sizes = sizes
         model.y_min = np.array(header["y_min"])
         model.y_span = np.array(header["y_span"])
         model.params = []

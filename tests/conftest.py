@@ -24,6 +24,19 @@ def scalar_instance(a=0.0, b=1.0, x0=1.0, xT=0.0, m=1.0, r=1.0, T=1.0, n_t=64, w
     return make_instance([[a]], [[b]], [x0], [xT], [[m]], [[r]], weight=weight, T=T, n_t=n_t)
 
 
+# a few bytes cut from the end of a file, or appended to it
+CORRUPTIONS = [-1, -3, -24, b"\x00\x00\x00", b"0.5\n"]
+
+
+def corrupted_copy(path, change):
+    """Copy of ``path`` truncated by ``-change`` bytes or extended by ``change``."""
+    data = path.read_bytes()
+    data = data[:change] if isinstance(change, int) else data + change
+    out = path.with_name("corrupt_" + path.name)
+    out.write_bytes(data)
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

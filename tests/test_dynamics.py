@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ctrlrom.dynamics import (
+    _CHUNK,
     Trajectory,
     apply_gramian,
     apply_system_operator,
-    control_from_adjoint,
     control_norm_dt,
     evaluate_cost,
     rhs_vector,
@@ -14,29 +18,32 @@ from ctrlrom.dynamics import (
     solve_state_forward,
 )
 from ctrlrom.exact_solver import solve_exact
-from ctrlrom.system import build_heat_family
+from ctrlrom.system import ProblemInstance, TimeGrid, build_heat_family, build_wave_family
 
 from conftest import make_instance, scalar_instance
 
 
 class TestAdjointBackward:
     def test_zero_generator_keeps_terminal_value(self, rng):
-        inst = make_instance(np.zeros((3, 3)), np.zeros((3, 1)), np.zeros(3), np.zeros(3),
-                             np.eye(3), [[1.0]])
+        # B = R = I with unit weight makes the control u = -phi, so the
+        # control carries the adjoint itself
+        inst = make_instance(np.zeros((3, 3)), np.eye(3), np.zeros(3), np.zeros(3),
+                             np.eye(3), np.eye(3))
         pT = rng.standard_normal(3)
-        adj = solve_adjoint_backward(inst, pT)
-        np.testing.assert_allclose(adj.values, np.tile(pT, (65, 1)), atol=1e-14)
+        u = solve_adjoint_backward(inst, pT)
+        np.testing.assert_allclose(u.values, np.tile(-pT, (65, 1)), atol=1e-14)
 
     def test_zero_terminal_value(self):
         inst = scalar_instance(a=-2.0)
-        adj = solve_adjoint_backward(inst, np.array([0.0]))
-        np.testing.assert_array_equal(adj.values, np.zeros((65, 1)))
+        u = solve_adjoint_backward(inst, np.array([0.0]))
+        np.testing.assert_array_equal(u.values, np.zeros((65, 1)))
 
     def test_scalar_matches_exponential(self):
-        # closed form: phi(t) = exp(a (T - t)) pT, so phi(0) = exp(-1) pT
+        # closed form: phi(t) = exp(a (T - t)) pT, so phi(0) = exp(-1) pT;
+        # with b = r = 1 the control is u = -phi
         inst = scalar_instance(a=-1.0, T=1.0, n_t=2000)
-        adj = solve_adjoint_backward(inst, np.array([1.0]))
-        assert adj.values[0, 0] == pytest.approx(np.exp(-1.0), abs=5e-8)
+        u = solve_adjoint_backward(inst, np.array([1.0]))
+        assert u.values[0, 0] == pytest.approx(-np.exp(-1.0), abs=5e-8)
 
     def test_wrong_length_rejected(self):
         inst = scalar_instance()
@@ -47,30 +54,32 @@ class TestAdjointBackward:
 class TestControlFromAdjoint:
     def test_zero_adjoint_gives_zero_control(self):
         inst = scalar_instance(r=0.5)
-        adj = solve_adjoint_backward(inst, np.array([0.0]))
-        u = control_from_adjoint(inst, adj)
+        u = solve_adjoint_backward(inst, np.array([0.0]))
         assert u.kind == "control"
         np.testing.assert_array_equal(u.values, np.zeros((65, 1)))
 
     def test_scalar_formula(self):
         # u = -c / r for constant adjoint c when A = 0, B = 1, h = 1
         inst = scalar_instance(a=0.0, b=1.0, r=4.0)
-        adj = solve_adjoint_backward(inst, np.array([2.0]))
-        u = control_from_adjoint(inst, adj)
+        u = solve_adjoint_backward(inst, np.array([2.0]))
         np.testing.assert_allclose(u.values, -0.5 * np.ones((65, 1)), atol=1e-14)
 
     def test_heat_control_dimension(self):
         fam = build_heat_family(n_y=5, T=0.1, steps_per_point=4)
         inst = fam.build([1.0, 1.0])
-        adj = solve_adjoint_backward(inst, np.ones(5))
-        u = control_from_adjoint(inst, adj)
+        u = solve_adjoint_backward(inst, np.ones(5))
         assert u.values.shape == (inst.grid.n_t + 1, 2)
+        block = solve_adjoint_backward(inst, np.ones((5, 3)))
+        assert block.values.shape == (inst.grid.n_t + 1, 2, 3)
 
     def test_requires_adjoint_kind(self):
+        # the sweep takes a terminal adjoint of shape (n,) or (n, k), not a
+        # trajectory of node values
         inst = scalar_instance()
-        state = solve_state_forward(inst, np.array([1.0]))
         with pytest.raises(ValueError):
-            control_from_adjoint(inst, state)
+            solve_adjoint_backward(inst, np.ones((65, 1)))
+        with pytest.raises(ValueError):
+            solve_adjoint_backward(inst, np.ones((1, 1, 1)))
 
 
 class TestStateForward:
@@ -78,28 +87,25 @@ class TestStateForward:
         inst = make_instance(np.zeros((4, 4)), np.zeros((4, 1)), np.zeros(4), np.zeros(4),
                              np.eye(4), [[1.0]])
         x0 = rng.standard_normal(4)
-        traj = solve_state_forward(inst, x0)
-        np.testing.assert_allclose(traj.values, np.tile(x0, (65, 1)), atol=1e-14)
+        np.testing.assert_allclose(solve_state_forward(inst, x0), x0, atol=1e-14)
 
     def test_constant_control_integrates_exactly(self):
         # x' = u with u = 1 gives x(T) = T, exact under trapezoidal coupling
         inst = scalar_instance(a=0.0, b=1.0, T=1.0, n_t=16)
         u = Trajectory(times=inst.grid.nodes(), values=np.ones((17, 1)), kind="control")
-        traj = solve_state_forward(inst, np.array([0.0]), u)
-        assert traj.final[0] == pytest.approx(1.0, rel=1e-14)
+        assert solve_state_forward(inst, np.array([0.0]), u)[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_scalar_exponential(self):
         inst = scalar_instance(a=-1.5, T=1.0, n_t=2000)
-        traj = solve_state_forward(inst, np.array([1.0]))
-        assert traj.final[0] == pytest.approx(np.exp(-1.5), abs=1e-7)
+        assert solve_state_forward(inst, np.array([1.0]))[0] == pytest.approx(np.exp(-1.5),
+                                                                              abs=1e-7)
 
     def test_second_order_convergence(self):
         # halving dt cuts the scalar endpoint error by about four
         errors = []
         for n_t in (64, 128):
             inst = scalar_instance(a=-1.0, T=1.0, n_t=n_t)
-            traj = solve_state_forward(inst, np.array([1.0]))
-            errors.append(abs(traj.final[0] - np.exp(-1.0)))
+            errors.append(abs(solve_state_forward(inst, np.array([1.0]))[0] - np.exp(-1.0)))
         ratio = errors[0] / errors[1]
         assert 3.0 <= ratio <= 5.0
 
@@ -107,20 +113,20 @@ class TestStateForward:
 class TestFreeDynamics:
     def test_zero_initial_state(self):
         inst = scalar_instance(a=-3.0, x0=0.0)
-        assert solve_state_forward(inst, inst.x0).final[0] == 0.0
+        assert solve_state_forward(inst, inst.x0)[0] == 0.0
 
     def test_zero_generator(self, rng):
         x0 = rng.standard_normal(5)
         inst = make_instance(np.zeros((5, 5)), np.zeros((5, 1)), x0, np.zeros(5),
                              np.eye(5), [[1.0]])
-        np.testing.assert_allclose(solve_state_forward(inst, inst.x0).final, x0, atol=1e-14)
+        np.testing.assert_allclose(solve_state_forward(inst, inst.x0), x0, atol=1e-14)
 
     def test_tiny_heat_matches_matrix_exponential(self):
         # oracle: dense expm of the assembled generator
         fam = build_heat_family(n_y=4, T=0.1, steps_per_point=100)
         inst = fam.build([1.0, 1.0])
         expected = expm(0.1 * inst.A) @ inst.x0
-        assert inst.ip.norm(solve_state_forward(inst, inst.x0).final - expected) <= 1e-6
+        assert inst.ip.norm(solve_state_forward(inst, inst.x0) - expected) <= 1e-6
 
 
 class TestGramian:
@@ -173,7 +179,7 @@ class TestSystemOperator:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
     def test_matches_columnwise_dense_assembly(self, rng):
-        # oracle: dense matrix assembled column by column from unit vectors
+        # oracle: dense matrix assembled from the identity block
         from ctrlrom.exact_solver import assemble_dense_operator
 
         fam = build_heat_family(n_y=6, T=0.1, steps_per_point=10)
@@ -239,7 +245,7 @@ class TestControlNorm:
 
     def test_requires_control_kind(self):
         inst = scalar_instance()
-        state = solve_state_forward(inst, np.array([1.0]))
+        state = Trajectory(times=inst.grid.nodes(), values=np.ones((65, 1)), kind="state")
         with pytest.raises(ValueError):
             control_norm_dt(state)
 
@@ -253,3 +259,61 @@ class TestTrajectoryValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             Trajectory(times=np.array([0.0]), values=np.array([[1.0]]), kind="thing")
+
+
+def with_steps(inst, n_t):
+    """The same instance on a grid of n_t steps over the same horizon."""
+    return ProblemInstance(A=inst.A, B=inst.B, x0=inst.x0, xT=inst.xT, M=inst.M, R=inst.R,
+                           ip=inst.ip, grid=TimeGrid(T=inst.grid.T, n_t=n_t))
+
+
+# tiny instances: heat with n_y <= 8, wave with n_y <= 4 (state dimension 2 n_y)
+_tiny_instances = st.one_of(
+    st.builds(lambda n_y, mu: build_heat_family(n_y=n_y, T=0.1, steps_per_point=10).build(mu),
+              st.integers(2, 8),
+              st.tuples(st.floats(1.0, 2.0), st.floats(0.5, 1.5))),
+    st.builds(lambda n_y, mu: build_wave_family(n_y=n_y, T=1.0, steps_per_point=10).build([mu]),
+              st.integers(2, 4),
+              st.floats(3.0, 10.0)),
+)
+# step counts below, equal to, a multiple of and not a multiple of the chunk
+_step_counts = st.one_of(
+    st.integers(1, _CHUNK - 1),
+    st.sampled_from([_CHUNK, 2 * _CHUNK]),
+    st.integers(_CHUNK + 1, 3 * _CHUNK).filter(lambda n_t: n_t % _CHUNK),
+)
+
+
+def relative_gap(block_column, column):
+    return np.linalg.norm(block_column - column) / np.linalg.norm(column)
+
+
+class TestBlockSweeps:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inst=_tiny_instances, n_t=_step_counts, k=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_block_columns_match_vector_applies(self, inst, n_t, k, seed):
+        inst = with_steps(inst, n_t)
+        P = np.random.default_rng(seed).standard_normal((inst.n, k))
+        images = apply_system_operator(inst, P)
+        controls = solve_adjoint_backward(inst, P).values
+        assert images.shape == (inst.n, k)
+        assert controls.shape == (n_t + 1, inst.m, k)
+        for i in range(k):
+            assert relative_gap(images[:, i], apply_system_operator(inst, P[:, i])) <= 1e-13
+            column = solve_adjoint_backward(inst, P[:, i]).values
+            assert relative_gap(controls[:, :, i], column) <= 1e-13
+
+    def test_block_apply_keeps_no_trajectory(self, rng):
+        # a stored (n_t + 1) x n x k trajectory would need four times the
+        # bound below
+        inst = build_heat_family(n_y=40, T=0.1, steps_per_point=100).build([1.5, 1.0])
+        k = 8
+        P = rng.standard_normal((inst.n, k))
+        tracemalloc.start()
+        try:
+            apply_system_operator(inst, P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (inst.grid.n_t + 1) * inst.n * k * 8 / 4

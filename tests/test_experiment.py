@@ -120,6 +120,14 @@ class TestRunExperiment:
         second = (rerun_dir / "analysis_results_errors.csv").read_bytes()
         assert first == second
 
+    def test_error_csv_independent_of_worker_count(self, completed_run, tmp_path):
+        cfg, outdir, _ = completed_run
+        assert cfg.workers == 1
+        pooled_dir = tmp_path / "pooled"
+        run_experiment(replace(cfg, workers=2, output_dir=str(pooled_dir)))
+        serial = (outdir / "analysis_results_errors.csv").read_bytes()
+        assert (pooled_dir / "analysis_results_errors.csv").read_bytes() == serial
+
     def test_zero_test_count_gives_history_only(self, tmp_path):
         cfg = tiny_heat_config(tmp_path, test_count=0)
         report = run_experiment(cfg)

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ctrlrom.greedy_rom import (
 from ctrlrom.numerics import InnerProduct, gram_schmidt_extend
 from ctrlrom.system import ParameterDomain, ProblemFamily, build_heat_family, sample_grid
 
-from conftest import make_instance
+from conftest import CORRUPTIONS, corrupted_copy, make_instance
 
 
 def small_heat_family():
@@ -259,6 +260,26 @@ class TestPersistence:
         loaded = load_training_data(path, n_params=2)
         np.testing.assert_array_equal(loaded.inputs(), data.inputs())
         np.testing.assert_array_equal(loaded.targets(), data.targets())
+
+    @pytest.mark.parametrize("change", CORRUPTIONS)
+    def test_truncated_or_extended_files_rejected(self, tmp_path, change):
+        fam, train = small_train_set((2, 2))
+        basis, data = greedy_offline(fam, train, tol=1e-3, cg_tol=1e-13)
+        save_basis(basis, tmp_path / "basis.crb")
+        save_training_data(data, tmp_path / "training_data.csv")
+        for name, load in (("basis.crb", load_basis),
+                           ("training_data.csv", lambda p: load_training_data(p, n_params=2))):
+            bad = corrupted_copy(tmp_path / name, change)
+            with pytest.raises(ValueError, match=re.escape(bad.name)):
+                load(bad)
+
+    def test_training_data_parameter_count_checked(self, tmp_path):
+        fam, train = small_train_set((2, 2))
+        _, data = greedy_offline(fam, train, tol=1e-3, cg_tol=1e-13)
+        path = tmp_path / "training.csv"
+        save_training_data(data, path)
+        with pytest.raises(ValueError, match="parameter columns"):
+            load_training_data(path, n_params=1)
 
     def test_basis_magic_guard(self, tmp_path):
         path = tmp_path / "bogus.crb"

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from ctrlrom.experiment import surrogate_path
 from ctrlrom.greedy_rom import TrainingData, greedy_offline, rom_online
 from ctrlrom.surrogates import (
     GPRegressor,
@@ -15,6 +18,8 @@ from ctrlrom.surrogates.base import CoefficientRegressor
 from ctrlrom.surrogates.gpr import log_marginal_likelihood
 from ctrlrom.surrogates.mlp import forward, init_params, loss_gradients, mse_loss
 from ctrlrom.system import build_heat_family, sample_grid
+
+from conftest import CORRUPTIONS, corrupted_copy
 
 
 def make_training_data(n=12, p=2, N=3, seed=0, mapping=None):
@@ -193,6 +198,31 @@ class TestMLPRegressor:
         loaded = load_model(path)
         for mu, _ in data.pairs:
             np.testing.assert_array_equal(loaded.predict(mu), model.predict(mu))
+
+
+@pytest.fixture(scope="module")
+def saved_models(tmp_path_factory):
+    outdir = tmp_path_factory.mktemp("models")
+    data = make_training_data(n=8, N=4, seed=15)
+    models = {
+        "kernel": KernelRegressor(beta=0.9),
+        "gpr": GPRegressor(restarts=2),
+        "mlp": MLPRegressor(seed=3, restarts=2, max_steps=400),
+    }
+    paths = {}
+    for kind, model in models.items():
+        paths[kind] = surrogate_path(outdir, kind)
+        model.fit(data).save(paths[kind])
+    return paths
+
+
+class TestCorruptModelFiles:
+    @pytest.mark.parametrize("kind", ["kernel", "gpr", "mlp"])
+    @pytest.mark.parametrize("change", CORRUPTIONS)
+    def test_truncated_or_extended_file_rejected(self, saved_models, kind, change):
+        bad = corrupted_copy(saved_models[kind], change)
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            load_model(bad)
 
 
 class TestInterfaceDeterminism:
