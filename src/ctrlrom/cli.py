@@ -101,7 +101,7 @@ def _cmd_offline(args):
         track_true_errors=cfg.track_true_errors,
     )
     greedy_rom.save_basis(basis, outdir / "basis.crb")
-    greedy_rom.save_training_data(training_data, outdir / "training_data.csv")
+    greedy_rom.save_training_data(training_data, outdir / "training_data.bin")
     experiment.save_config(cfg, outdir / "config.ini")
     experiment.write_greedy_history(basis.history, outdir / "greedy_results.csv")
     print(f"basis of size {basis.size} written to {outdir / 'basis.crb'}")
@@ -111,10 +111,9 @@ def _cmd_offline(args):
 def _cmd_train_surrogates(args):
     cfg = _resolve_config(args)
     outdir = Path(cfg.output_dir)
-    basis = greedy_rom.load_basis(outdir / "basis.crb")
     family = experiment.build_family(cfg)
     training_data = greedy_rom.load_training_data(
-        outdir / "training_data.csv", n_params=family.domain.dim
+        outdir / "training_data.bin", n_params=family.domain.dim
     )
     models = experiment.fit_surrogates(cfg, training_data)
     for kind, model in models.items():

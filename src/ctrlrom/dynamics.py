@@ -28,21 +28,18 @@ _CHUNK = 128  # steps whose controls or input terms form one matrix product
 
 @dataclass
 class Trajectory:
-    """Node-indexed values of a state, adjoint or control over the grid."""
+    """Node-indexed values of a control over the grid."""
 
     times: np.ndarray
-    values: np.ndarray  # shape (n_nodes, dim) or, for a block, (n_nodes, dim, k)
-    kind: str  # "state" | "adjoint" | "control"
+    values: np.ndarray  # shape (n_nodes, m) or, for a block, (n_nodes, m, k)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
         if self.values.shape[0] != self.times.shape[0]:
             raise ValueError("one value row per time node required")
-        if self.kind not in ("state", "adjoint", "control"):
-            raise ValueError(f"unknown trajectory kind '{self.kind}'")
         if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError(f"non-finite entries in {self.kind} trajectory")
+            raise FloatingPointError("non-finite entries in control trajectory")
 
 
 def _rows(inst, v, what):
@@ -66,7 +63,7 @@ def solve_adjoint_backward(inst, pT):
     Solves -phi' = A* phi backward with the Crank-Nicolson step
     (I - dt/2 A*) phi_k = (I + dt/2 A*) phi_{k+1}, realized through the
     transposed one-step propagator, and returns the control at every node as
-    a ``Trajectory(kind="control")`` with values of shape (n_t + 1, m) for a
+    a ``Trajectory`` with values of shape (n_t + 1, m) for a
     vector pT and (n_t + 1, m, k) for a block pT of shape (n, k).  Adjoint
     values are kept for one chunk of steps only.
     """
@@ -84,7 +81,7 @@ def solve_adjoint_backward(inst, pT):
             np.matmul(S_T, phi[i + 1], out=phi[i])
         u[lo : hi + 1] = _controls(inst, phi[: hi - lo + 1])
     values = u if np.ndim(pT) == 2 else u[:, :, 0]
-    return Trajectory(times=inst.grid.nodes(), values=values, kind="control")
+    return Trajectory(times=inst.grid.nodes(), values=values)
 
 
 def solve_state_forward(inst, x_init, u=None):
@@ -162,14 +159,6 @@ def control_norm_dt(u):
     The node at t = 0 is excluded, matching the indexing of the comparison
     norm used for reporting control errors.
     """
-    if u.kind != "control":
-        raise ValueError("control_norm_dt expects a control trajectory")
     dt = float(u.times[1] - u.times[0])
     return float(np.sqrt(dt * np.sum(u.values[1:] ** 2)))
 
-
-def control_difference(u, v):
-    """Trajectory holding the nodewise difference of two controls."""
-    if u.values.shape != v.values.shape:
-        raise ValueError("control trajectories must share the grid")
-    return Trajectory(times=u.times, values=u.values - v.values, kind="control")

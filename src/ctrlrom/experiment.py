@@ -149,7 +149,8 @@ def load_config(path):
     """Read a config written by ``save_config``.
 
     Keys missing from the file fall back to the per-family defaults of the
-    family named in the file.
+    family named in the file; a section or key that ``save_config`` does not
+    write there raises ``ValueError``.
     """
     parser = configparser.ConfigParser()
     if not parser.read(path):
@@ -157,12 +158,12 @@ def load_config(path):
     family = parser.get("family", "family", fallback="heat")
     defaults = default_config(family)
     values = {}
-    for section, keys in _SECTIONS.items():
-        if section not in parser:
-            continue
-        for key in keys:
-            if key in parser[section]:
-                values[key] = _parse_value(parser[section][key], getattr(defaults, key))
+    for section in parser.sections():
+        known = {parser.optionxform(key): key for key in _SECTIONS.get(section, ())}
+        for option, text in parser[section].items():
+            if option not in known:
+                raise ValueError(f"{path}: unknown key '{option}' in section [{section}]")
+            values[known[option]] = _parse_value(text, getattr(defaults, known[option]))
     return replace(defaults, **values).validate()
 
 
@@ -334,7 +335,8 @@ def _evaluate_test_parameter(config, family, basis, models, index, mu):
 def _model_result(inst, exact, solution, runtime):
     true_err = inst.ip.norm(exact.phiT - solution.phiT_approx)
     control_err = dynamics.control_norm_dt(
-        dynamics.control_difference(exact.control, solution.control)
+        dynamics.Trajectory(times=exact.control.times,
+                            values=exact.control.values - solution.control.values)
     )
     return ModelResult(
         true_adjoint_error=true_err,
@@ -359,8 +361,8 @@ def evaluate_online(config, family, basis, models, train_set):
 
 
 def surrogate_path(outdir, kind):
-    """File of the surrogate of ``kind``: binary for the mlp, CSV otherwise."""
-    return Path(outdir) / f"surrogate_{kind}.{'bin' if kind == 'mlp' else 'csv'}"
+    """File of the surrogate of ``kind``."""
+    return Path(outdir) / f"surrogate_{kind}.bin"
 
 
 def _check_invariants(report):
@@ -433,7 +435,7 @@ def run_experiment(config, outdir=None, emit=True):
             emit_reports(report, outdir)
             write_greedy_history(basis.history, outdir / "greedy_results.csv")
             greedy_rom.save_basis(basis, outdir / "basis.crb")
-            greedy_rom.save_training_data(training_data, outdir / "training_data.csv")
+            greedy_rom.save_training_data(training_data, outdir / "training_data.bin")
             for kind, model in models.items():
                 model.save(surrogate_path(outdir, kind))
     except Exception as exc:

@@ -9,23 +9,18 @@ of the basis vectors under the parameter's system operator; the residual of
 that projection doubles as a rigorous error estimate at no extra cost.
 """
 
-import json
 import logging
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import dynamics
+from . import dynamics, persist
 from .errors import GramMatrixError, GreedyBudgetError
 from .exact_solver import solve_exact
 from .numerics import InnerProduct, gram_schmidt_extend
 
 log = logging.getLogger(__name__)
-
-BASIS_FORMAT_MAGIC = b"CRB1"
-BASIS_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -274,88 +269,44 @@ def rom_online(inst, basis, certify=True):
 
 
 def save_basis(basis, path):
-    """Write a reduced basis to disk (versioned binary format).
-
-    Layout: 4-byte magic ``CRB1``, little-endian uint32 header length, a
-    UTF-8 JSON header (format version, family name, n, N, tolerance,
-    inner-product weight, selected parameters), then the basis matrix as
-    column-major float64 little-endian raw bytes.
-    """
-    header = {
-        "format_version": BASIS_FORMAT_VERSION,
-        "family": basis.family_name,
-        "n": basis.dim,
-        "N": basis.size,
-        "tolerance": basis.tolerance_used,
-        "ip_weight": basis.ip.weight,
-        "selected_params": [list(map(float, p)) for p in basis.selected_params],
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(BASIS_FORMAT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.asfortranarray(basis.matrix()).astype("<f8").tobytes(order="F"))
+    """Write a reduced basis as a ``persist`` file of kind ``basis``: the
+    vectors as the rows of an (N, n) array, the selected parameters as an
+    (N, p) array, family name, tolerance and inner-product weight as meta."""
+    meta = {"family": basis.family_name, "tolerance": basis.tolerance_used,
+            "ip_weight": basis.ip.weight}
+    persist.write(path, "basis", meta, {"vectors": basis.matrix().T,
+                                        "selected_params": np.array(basis.selected_params)})
 
 
 def load_basis(path):
     """Read a reduced basis written by ``save_basis``."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BASIS_FORMAT_MAGIC:
-            raise ValueError(f"not a reduced-basis file (magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        if header["format_version"] != BASIS_FORMAT_VERSION:
-            raise ValueError(f"unsupported basis format version {header['format_version']}")
-        n, N = header["n"], header["N"]
-        payload = fh.read()
-    if len(payload) != 8 * n * N:
-        raise ValueError(
-            f"{path}: basis payload holds {len(payload)} bytes, header (n={n}, N={N}) "
-            f"promises {8 * n * N}"
+    _, meta, arrays = persist.read(path, "basis")
+    try:
+        return ReducedBasis(
+            vectors=list(arrays["vectors"]),
+            selected_params=list(arrays["selected_params"]),
+            ip=InnerProduct(weight=meta["ip_weight"]),
+            tolerance_used=meta["tolerance"],
+            family_name=meta["family"],
         )
-    mat = np.frombuffer(payload, dtype="<f8").reshape((n, N), order="F")
-    return ReducedBasis(
-        vectors=[mat[:, i].copy() for i in range(N)],
-        selected_params=[np.array(p) for p in header["selected_params"]],
-        ip=InnerProduct(weight=header["ip_weight"]),
-        tolerance_used=header["tolerance"],
-        family_name=header["family"],
-    )
+    except KeyError as exc:
+        raise ValueError(f"{path}: basis record lacks {exc}") from None
 
 
 def save_training_data(data, path):
-    """Write training pairs as CSV: parameter columns, then coefficients."""
-    p = len(data.pairs[0][0]) if data.pairs else 0
-    N = data.n_coeffs
-    cols = [f"mu_{i}" for i in range(p)] + [f"alpha_{i}" for i in range(N)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for mu, alpha in data.pairs:
-            row = [repr(float(v)) for v in mu] + [repr(float(a)) for a in alpha]
-            fh.write(",".join(row) + "\n")
+    """Write training pairs as a ``persist`` file of kind ``training_data``:
+    the parameters as a (P, p) and the coefficients as a (P, N) array."""
+    persist.write(path, "training_data", {},
+                  {"parameters": data.inputs(), "coefficients": data.targets()})
 
 
 def load_training_data(path, n_params):
-    """Read training pairs written by ``save_training_data``.
-
-    Every row must be newline-terminated and hold one value per header
-    column, and the header must name ``n_params`` parameter columns.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    columns = lines[0].split(",")
-    if not columns[0].startswith("mu_"):
-        raise ValueError(f"{path}: not a training-data CSV")
-    n_mu = sum(c.startswith("mu_") for c in columns)
-    if n_mu != n_params:
-        raise ValueError(f"{path}: header names {n_mu} parameter columns, expected {n_params}")
-    rows = [line.split(",") for line in lines[1:-1]]
-    if lines[-1] or any(len(row) != len(columns) for row in rows):
-        raise ValueError(f"{path}: rows do not match the {len(columns)} header columns")
-    pairs = []
-    for row in rows:
-        values = [float(v) for v in row]
-        pairs.append((np.array(values[:n_params]), np.array(values[n_params:])))
-    return TrainingData(pairs=pairs)
+    """Read training pairs written by ``save_training_data``; the parameters
+    must have ``n_params`` components."""
+    _, _, arrays = persist.read(path, "training_data")
+    mu, alpha = arrays.get("parameters"), arrays.get("coefficients")
+    if mu is None or alpha is None or mu.ndim != 2 or alpha.ndim != 2 or len(mu) != len(alpha):
+        raise ValueError(f"{path}: parameters and coefficients do not pair up")
+    if mu.shape[1] != n_params:
+        raise ValueError(f"{path}: file holds {mu.shape[1]} parameter columns, expected {n_params}")
+    return TrainingData(pairs=list(zip(mu, alpha)))

@@ -1,0 +1,80 @@
+"""The one file format of everything the pipeline writes and reads back.
+
+A file is the magic bytes ``CTRLROM1``, a little-endian ``uint32`` header
+length, a UTF-8 JSON header ``{"kind", "meta", "arrays": [[name, shape],
+...]}``, then the arrays as raw little-endian float64 in header order
+(row-major).  ``kind`` names what the file holds (``basis``,
+``training_data`` or a regressor kind), ``meta`` its scalar settings.
+``read`` checks the header and that the payload holds exactly the bytes the
+shapes promise, so a truncated or extended file raises instead of loading
+as different numbers.
+"""
+
+import json
+import math
+import struct
+
+import numpy as np
+
+MAGIC = b"CTRLROM1"
+_LENGTH = struct.Struct("<I")
+
+
+def write(path, kind, meta, arrays):
+    """Write ``arrays`` (name -> array) under a header of ``kind`` and ``meta``."""
+    arrays = {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()}
+    header = {
+        "kind": kind,
+        "meta": meta,
+        "arrays": [[name, list(a.shape)] for name, a in arrays.items()],
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(_LENGTH.pack(len(blob)))
+        fh.write(blob)
+        for a in arrays.values():
+            fh.write(a.tobytes())
+
+
+def read(path, *kinds):
+    """Read a file written by ``write`` whose kind is one of ``kinds``.
+
+    Returns ``(kind, meta, arrays)`` with arrays as a name -> float64 array
+    dict in header order.  Raises ``ValueError`` naming the file when it is
+    not such a file, holds another kind, or its payload is not exactly the
+    arrays its header lists.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = len(MAGIC) + _LENGTH.size
+    if data[: len(MAGIC)] != MAGIC or len(data) < start:
+        raise ValueError(f"{path}: not a ctrlrom file")
+    (size,) = _LENGTH.unpack_from(data, len(MAGIC))
+    if len(data) < start + size:
+        raise ValueError(f"{path}: file ends inside its {size}-byte header")
+    try:
+        header = json.loads(data[start : start + size].decode("utf-8"))
+        kind, meta, listed = header["kind"], header["meta"], header["arrays"]
+        shapes = [(str(name), tuple(int(d) for d in shape)) for name, shape in listed]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers decoding errors
+        raise ValueError(f"{path}: malformed header ({exc})") from None
+    if kind not in kinds:
+        raise ValueError(f"{path}: holds a {kind!r} record, expected {' or '.join(kinds)}")
+    names = {name for name, _ in shapes}
+    if not isinstance(meta, dict) or len(names) < len(shapes) or any(
+        d < 0 for _, shape in shapes for d in shape
+    ):
+        raise ValueError(f"{path}: malformed header")
+    counts = [math.prod(shape) for _, shape in shapes]
+    payload = len(data) - start - size
+    if payload != 8 * sum(counts):
+        raise ValueError(
+            f"{path}: payload holds {payload} bytes, its header promises {8 * sum(counts)}"
+        )
+    arrays, offset = {}, start + size
+    for (name, shape), count in zip(shapes, counts):
+        flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        arrays[name] = flat.reshape(shape).astype(float)
+        offset += 8 * count
+    return kind, meta, arrays

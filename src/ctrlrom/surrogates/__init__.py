@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import dynamics
+from .. import dynamics, persist
 from ..exact_solver import error_estimator, solve_exact
 from ..greedy_rom import ReducedSolution, project_coefficients
 from .base import CoefficientRegressor
@@ -37,16 +37,9 @@ def make_regressor(kind, **settings):
 
 
 def load_model(path):
-    """Load a persisted surrogate, dispatching on the file signature."""
-    with open(path, "rb") as fh:
-        head = fh.read(32)
-    if head.startswith(b"CRM1"):
-        return MLPRegressor.load(path)
-    if head.startswith(b"# ctrlrom kernel"):
-        return KernelRegressor.load(path)
-    if head.startswith(b"# ctrlrom gpr"):
-        return GPRegressor.load(path)
-    raise ValueError(f"unrecognized surrogate model file: {path}")
+    """Load a persisted surrogate of any kind, dispatching on its header."""
+    kind, _, _ = persist.read(path, *REGRESSOR_CLASSES)
+    return REGRESSOR_CLASSES[kind].load(path)
 
 
 def surrogate_online(inst, basis, model, certify=True):

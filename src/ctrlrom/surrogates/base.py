@@ -2,16 +2,23 @@
 
 import numpy as np
 
+from .. import persist
+
 
 class CoefficientRegressor:
     """Base class for surrogates mapping parameters to reduced coefficients.
 
-    Subclasses implement ``fit(training_data)`` and ``_predict_one(x)`` and
-    set ``kind``.  Prediction is deterministic after fitting and returns an
-    array whose length matches the basis size the model was trained against.
+    Subclasses implement ``fit(training_data)`` and ``_predict_one(x)``, set
+    ``kind`` and name the fitted attributes ``predict`` reads: scalars in
+    ``hyper_parameters``, arrays in ``fitted_arrays``.  ``save`` writes
+    those and ``load`` sets them on a model built with default arguments.
+    Prediction is deterministic after fitting and returns an array whose
+    length matches the basis size the model was trained against.
     """
 
     kind = "abstract"
+    hyper_parameters = ()
+    fitted_arrays = ()
 
     def __init__(self, seed=0):
         self.seed = int(seed)
@@ -34,3 +41,30 @@ class CoefficientRegressor:
                 f"expected {self.n_outputs}"
             )
         return out
+
+    def _arrays(self):
+        return {name: getattr(self, name) for name in self.fitted_arrays}
+
+    def _set_arrays(self, arrays):
+        for name in self.fitted_arrays:
+            setattr(self, name, arrays[name])
+
+    def save(self, path):
+        """Write the fitted model as a ``persist`` file of its kind."""
+        if self.n_outputs is None:
+            raise RuntimeError(f"{self.kind} model saved before fitting")
+        meta = {name: getattr(self, name) for name in ("n_outputs", *self.hyper_parameters)}
+        persist.write(path, self.kind, meta, self._arrays())
+
+    @classmethod
+    def load(cls, path):
+        """Read a model written by ``save`` of the same kind."""
+        _, meta, arrays = persist.read(path, cls.kind)
+        model = cls()
+        try:
+            for name in ("n_outputs", *cls.hyper_parameters):
+                setattr(model, name, meta[name])
+            model._set_arrays(arrays)
+        except KeyError as exc:
+            raise ValueError(f"{path}: {cls.kind} record lacks {exc}") from None
+        return model

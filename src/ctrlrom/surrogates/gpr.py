@@ -65,6 +65,8 @@ def _golden_max(f, lo, hi, iters=20):
 
 class GPRegressor(CoefficientRegressor):
     kind = "gpr"
+    hyper_parameters = ("c", "length", "jitter")
+    fitted_arrays = ("inputs", "alpha", "y_mean", "y_std")
 
     def __init__(self, restarts=10, jitter=1e-3, seed=0, sweeps=3, line_iters=20):
         super().__init__(seed=seed)
@@ -125,51 +127,3 @@ class GPRegressor(CoefficientRegressor):
     def _predict_one(self, x):
         kvec = rbf_kernel(x[None, :], self.inputs, self.c, self.length)[0]
         return (kvec @ self.alpha) * self.y_std + self.y_mean
-
-    def save(self, path):
-        """Write the model as labelled CSV blocks."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# ctrlrom gpr model v1\n")
-            fh.write(f"c,{self.c!r}\n")
-            fh.write(f"length,{self.length!r}\n")
-            fh.write(f"jitter,{self.jitter!r}\n")
-            fh.write(f"n_inputs,{self.inputs.shape[0]}\n")
-            fh.write(f"p,{self.inputs.shape[1]}\n")
-            fh.write(f"N,{self.n_outputs}\n")
-            fh.write("y_mean," + ",".join(repr(float(v)) for v in self.y_mean) + "\n")
-            fh.write("y_std," + ",".join(repr(float(v)) for v in self.y_std) + "\n")
-            fh.write("inputs\n")
-            for row in self.inputs:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-            fh.write("alpha\n")
-            for row in self.alpha:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines[0] != "# ctrlrom gpr model v1":
-            raise ValueError(f"{path}: not a gpr model file")
-        meta = dict(ln.split(",", 1) for ln in lines[1:7])
-        model = cls(jitter=float(meta["jitter"]))
-        model.c = float(meta["c"])
-        model.length = float(meta["length"])
-        m, p, N = int(meta["n_inputs"]), int(meta["p"]), int(meta["N"])
-        # 9 header lines, then 2 labelled blocks of m rows, all newline-terminated
-        if len(lines) != 11 + 2 * m + 1 or lines[-1]:
-            raise ValueError(f"{path}: file does not hold the {11 + 2 * m} lines of its header")
-        model.y_mean = np.array([float(v) for v in lines[7].split(",")[1:]])
-        model.y_std = np.array([float(v) for v in lines[8].split(",")[1:]])
-        if model.y_mean.shape != (N,) or model.y_std.shape != (N,):
-            raise ValueError(f"{path}: output normalization does not hold N = {N} values")
-        start = lines.index("inputs") + 1
-        model.inputs = np.array(
-            [[float(v) for v in lines[start + i].split(",")] for i in range(m)]
-        ).reshape(m, p)
-        start = lines.index("alpha") + 1
-        model.alpha = np.array(
-            [[float(v) for v in lines[start + i].split(",")] for i in range(m)]
-        ).reshape(m, N)
-        model.n_outputs = N
-        return model

@@ -28,6 +28,8 @@ def gaussian_kernel(x, y, beta):
 
 class KernelRegressor(CoefficientRegressor):
     kind = "kernel"
+    hyper_parameters = ("beta", "p_greedy_tol", "regularization")
+    fitted_arrays = ("centers", "newton_triangle", "coefficients")
 
     def __init__(self, beta=1.0, p_greedy_tol=1e-10, regularization=0.0, seed=0):
         super().__init__(seed=seed)
@@ -113,50 +115,3 @@ class KernelRegressor(CoefficientRegressor):
         """
         values = self._newton_values(np.atleast_2d(x))
         return np.maximum(1.0 - np.sum(values**2, axis=1), 0.0)
-
-    def save(self, path):
-        """Write the model as labelled CSV blocks."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# ctrlrom kernel model v2\n")
-            fh.write(f"beta,{self.beta!r}\n")
-            fh.write(f"regularization,{self.regularization!r}\n")
-            fh.write(f"p_greedy_tol,{self.p_greedy_tol!r}\n")
-            fh.write(f"n_centers,{self.centers.shape[0]}\n")
-            fh.write(f"p,{self.centers.shape[1]}\n")
-            fh.write(f"N,{self.n_outputs}\n")
-            for label, block in (
-                ("centers", self.centers),
-                ("newton_triangle", self.newton_triangle),
-                ("coefficients", self.coefficients),
-            ):
-                fh.write(label + "\n")
-                for row in block:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines[0] != "# ctrlrom kernel model v2":
-            raise ValueError(f"{path}: not a kernel model file")
-        meta = dict(ln.split(",", 1) for ln in lines[1:7])
-        model = cls(
-            beta=float(meta["beta"]),
-            p_greedy_tol=float(meta["p_greedy_tol"]),
-            regularization=float(meta["regularization"]),
-        )
-        m, p, N = int(meta["n_centers"]), int(meta["p"]), int(meta["N"])
-        # 7 header lines, then 3 labelled blocks of m rows, all newline-terminated
-        if len(lines) != 10 + 3 * m + 1 or lines[-1]:
-            raise ValueError(f"{path}: file does not hold the {10 + 3 * m} lines of its header")
-
-        def block(label, rows, cols):
-            start = lines.index(label) + 1
-            data = [[float(v) for v in lines[start + i].split(",")] for i in range(rows)]
-            return np.ascontiguousarray(np.array(data).reshape(rows, cols))
-
-        model.centers = block("centers", m, p)
-        model.newton_triangle = block("newton_triangle", m, m)
-        model.coefficients = block("coefficients", m, N)
-        model.n_outputs = N
-        return model

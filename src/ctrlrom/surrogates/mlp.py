@@ -9,17 +9,12 @@ with adaptive moment estimates, early-stopped on a held-out validation
 split; the best of several random restarts (by final training loss) wins.
 """
 
-import json
-import struct
-
 import numpy as np
 
 from ..errors import TrainingError
 from .base import CoefficientRegressor
 
 HIDDEN_LAYERS = (50, 50, 50)
-MLP_FORMAT_MAGIC = b"CRM1"
-MLP_FORMAT_VERSION = 1
 
 
 def init_params(layer_sizes, rng):
@@ -68,6 +63,7 @@ def loss_gradients(params, X, Y):
 
 class MLPRegressor(CoefficientRegressor):
     kind = "mlp"
+    fitted_arrays = ("y_min", "y_span")
 
     def __init__(
         self,
@@ -87,7 +83,6 @@ class MLPRegressor(CoefficientRegressor):
         self.learning_rate = float(learning_rate)
         self.check_every = int(check_every)
         self.params = None
-        self.layer_sizes = None
         self.y_min = None
         self.y_span = None
 
@@ -95,8 +90,8 @@ class MLPRegressor(CoefficientRegressor):
         # fixed schedule: halve the base rate every 1000 steps
         return self.learning_rate * 0.5 ** (step // 1000)
 
-    def _train_once(self, X, Yn, train_idx, val_idx, rng):
-        params = init_params(self.layer_sizes, rng)
+    def _train_once(self, layer_sizes, X, Yn, train_idx, val_idx, rng):
+        params = init_params(layer_sizes, rng)
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -136,7 +131,7 @@ class MLPRegressor(CoefficientRegressor):
         n = X.shape[0]
         if n < 5:
             raise ValueError("need at least five training pairs")
-        self.layer_sizes = [X.shape[1], *HIDDEN_LAYERS, Y.shape[1]]
+        layer_sizes = [X.shape[1], *HIDDEN_LAYERS, Y.shape[1]]
 
         self.y_min = Y.min(axis=0)
         self.y_span = Y.max(axis=0) - self.y_min
@@ -152,7 +147,7 @@ class MLPRegressor(CoefficientRegressor):
         best = (np.inf, None)
         for r in range(self.restarts):
             rng = np.random.default_rng(self.seed * 100003 + r)
-            params, train_loss = self._train_once(X, Yn, train_idx, val_idx, rng)
+            params, train_loss = self._train_once(layer_sizes, X, Yn, train_idx, val_idx, rng)
             if params is not None and train_loss < best[0]:
                 best = (train_loss, params)
         if best[1] is None:
@@ -165,51 +160,10 @@ class MLPRegressor(CoefficientRegressor):
         out, _ = forward(self.params, x[None, :])
         return out[0] * np.where(self.y_span > 0.0, self.y_span, 1.0) + self.y_min
 
-    def save(self, path):
-        """Write the network as a flat float64 parameter file with a header."""
-        header = {
-            "format_version": MLP_FORMAT_VERSION,
-            "layer_sizes": list(self.layer_sizes),
-            "y_min": [float(v) for v in self.y_min],
-            "y_span": [float(v) for v in self.y_span],
-        }
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        flat = np.concatenate([p.ravel() for p in self.params])
-        with open(path, "wb") as fh:
-            fh.write(MLP_FORMAT_MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(flat.astype("<f8").tobytes())
+    def _arrays(self):
+        # weights and biases alternate, layer by layer
+        return {**super()._arrays(), **{f"param_{i}": p for i, p in enumerate(self.params)}}
 
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != MLP_FORMAT_MAGIC:
-                raise ValueError(f"not an mlp model file (magic {magic!r})")
-            (header_len,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            if header["format_version"] != MLP_FORMAT_VERSION:
-                raise ValueError(f"unsupported mlp format version {header['format_version']}")
-            payload = fh.read()
-        sizes = header["layer_sizes"]
-        expected = 8 * sum(n_in * n_out + n_out for n_in, n_out in zip(sizes[:-1], sizes[1:]))
-        if len(payload) != expected:
-            raise ValueError(
-                f"{path}: mlp parameters hold {len(payload)} bytes, "
-                f"layer sizes {sizes} promise {expected}"
-            )
-        flat = np.frombuffer(payload, dtype="<f8")
-        model = cls()
-        model.layer_sizes = sizes
-        model.y_min = np.array(header["y_min"])
-        model.y_span = np.array(header["y_span"])
-        model.params = []
-        offset = 0
-        for n_in, n_out in zip(model.layer_sizes[:-1], model.layer_sizes[1:]):
-            model.params.append(flat[offset : offset + n_in * n_out].reshape(n_out, n_in).copy())
-            offset += n_in * n_out
-            model.params.append(flat[offset : offset + n_out].copy())
-            offset += n_out
-        model.n_outputs = model.layer_sizes[-1]
-        return model
+    def _set_arrays(self, arrays):
+        super()._set_arrays(arrays)
+        self.params = [a for name, a in arrays.items() if name.startswith("param_")]

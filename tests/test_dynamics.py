@@ -55,7 +55,6 @@ class TestControlFromAdjoint:
     def test_zero_adjoint_gives_zero_control(self):
         inst = scalar_instance(r=0.5)
         u = solve_adjoint_backward(inst, np.array([0.0]))
-        assert u.kind == "control"
         np.testing.assert_array_equal(u.values, np.zeros((65, 1)))
 
     def test_scalar_formula(self):
@@ -92,7 +91,7 @@ class TestStateForward:
     def test_constant_control_integrates_exactly(self):
         # x' = u with u = 1 gives x(T) = T, exact under trapezoidal coupling
         inst = scalar_instance(a=0.0, b=1.0, T=1.0, n_t=16)
-        u = Trajectory(times=inst.grid.nodes(), values=np.ones((17, 1)), kind="control")
+        u = Trajectory(times=inst.grid.nodes(), values=np.ones((17, 1)))
         assert solve_state_forward(inst, np.array([0.0]), u)[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_scalar_exponential(self):
@@ -208,12 +207,12 @@ class TestRhsVector:
 class TestCost:
     def test_zero_cost_at_matched_target(self):
         inst = scalar_instance(a=0.0, x0=1.0, xT=1.0)
-        u = Trajectory(times=inst.grid.nodes(), values=np.zeros((65, 1)), kind="control")
+        u = Trajectory(times=inst.grid.nodes(), values=np.zeros((65, 1)))
         assert evaluate_cost(inst, u) == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_energy_term(self):
         inst = scalar_instance(a=0.0, b=0.0, x0=0.0, xT=0.0, r=1.0, T=1.0)
-        u = Trajectory(times=inst.grid.nodes(), values=np.ones((65, 1)), kind="control")
+        u = Trajectory(times=inst.grid.nodes(), values=np.ones((65, 1)))
         assert evaluate_cost(inst, u) == pytest.approx(0.5, rel=1e-14)
 
     def test_optimal_control_beats_zero_control(self):
@@ -221,44 +220,33 @@ class TestCost:
         inst = fam.build([1.4, 1.2])
         sol = solve_exact(inst, cg_tol=1e-12)
         zero = Trajectory(times=inst.grid.nodes(),
-                          values=np.zeros((inst.grid.n_t + 1, 2)), kind="control")
+                          values=np.zeros((inst.grid.n_t + 1, 2)))
         assert evaluate_cost(inst, sol.control) <= evaluate_cost(inst, zero)
 
 
 class TestControlNorm:
     def test_zero(self):
         inst = scalar_instance()
-        u = Trajectory(times=inst.grid.nodes(), values=np.zeros((65, 1)), kind="control")
+        u = Trajectory(times=inst.grid.nodes(), values=np.zeros((65, 1)))
         assert control_norm_dt(u) == 0.0
 
     def test_constant_unit_control(self):
         inst = scalar_instance(T=1.0, n_t=50)
-        u = Trajectory(times=inst.grid.nodes(), values=np.ones((51, 1)), kind="control")
+        u = Trajectory(times=inst.grid.nodes(), values=np.ones((51, 1)))
         assert control_norm_dt(u) == pytest.approx(1.0, rel=1e-14)
 
     def test_homogeneity(self, rng):
         inst = scalar_instance(T=2.0, n_t=32)
         vals = rng.standard_normal((33, 1))
-        u = Trajectory(times=inst.grid.nodes(), values=vals, kind="control")
-        u3 = Trajectory(times=inst.grid.nodes(), values=3.0 * vals, kind="control")
+        u = Trajectory(times=inst.grid.nodes(), values=vals)
+        u3 = Trajectory(times=inst.grid.nodes(), values=3.0 * vals)
         assert control_norm_dt(u3) == pytest.approx(3.0 * control_norm_dt(u), rel=1e-12)
-
-    def test_requires_control_kind(self):
-        inst = scalar_instance()
-        state = Trajectory(times=inst.grid.nodes(), values=np.ones((65, 1)), kind="state")
-        with pytest.raises(ValueError):
-            control_norm_dt(state)
 
 
 class TestTrajectoryValidation:
     def test_rejects_nan(self):
         with pytest.raises(FloatingPointError):
-            Trajectory(times=np.array([0.0, 1.0]), values=np.array([[1.0], [np.nan]]),
-                       kind="state")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0]), values=np.array([[1.0]]), kind="thing")
+            Trajectory(times=np.array([0.0, 1.0]), values=np.array([[1.0], [np.nan]]))
 
 
 def with_steps(inst, n_t):

@@ -72,8 +72,7 @@ class TestSolveExact:
         for _ in range(5):
             v = rng.standard_normal(sol.control.values.shape)
             for eps in (1e-3, -1e-3):
-                u = Trajectory(times=nodes, values=sol.control.values + eps * v,
-                               kind="control")
+                u = Trajectory(times=nodes, values=sol.control.values + eps * v)
                 assert evaluate_cost(inst, u) >= j_star - 1e-6
 
 

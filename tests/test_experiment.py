@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -64,6 +65,18 @@ class TestConfigFile:
         assert cfg.test_count == 7
         assert cfg.tolerance == default_config("wave").tolerance
 
+    @pytest.mark.parametrize("text", [
+        "[greedy]\ntolerence = 1e-3\n",
+        "[bogus]\ntolerance = 1e-3\n",
+        "[test]\ntolerance = 1e-3\n",
+    ])
+    def test_unknown_section_or_key_rejected(self, tmp_path, text):
+        path = tmp_path / "typo.ini"
+        path.write_text("[family]\nfamily = heat\n\n" + text, encoding="utf-8")
+        section, key = re.match(r"\[(\w+)\]\n(\w+)", text).groups()
+        with pytest.raises(ValueError, match=rf"'{key}' in section \[{section}\]"):
+            load_config(path)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(family="advection").validate()
@@ -85,9 +98,9 @@ class TestRunExperiment:
             "analysis_results_errors.csv",
             "timings.csv",
             "basis.crb",
-            "training_data.csv",
-            "surrogate_kernel.csv",
-            "surrogate_gpr.csv",
+            "training_data.bin",
+            "surrogate_kernel.bin",
+            "surrogate_gpr.bin",
             "surrogate_mlp.bin",
         ):
             assert (outdir / name).exists(), name
@@ -119,6 +132,9 @@ class TestRunExperiment:
         first = (outdir / "analysis_results_errors.csv").read_bytes()
         second = (rerun_dir / "analysis_results_errors.csv").read_bytes()
         assert first == second
+        for name in ("basis.crb", "training_data.bin", "surrogate_kernel.bin",
+                     "surrogate_gpr.bin", "surrogate_mlp.bin"):
+            assert (outdir / name).read_bytes() == (rerun_dir / name).read_bytes(), name
 
     def test_error_csv_independent_of_worker_count(self, completed_run, tmp_path):
         cfg, outdir, _ = completed_run
@@ -191,7 +207,7 @@ class TestCli:
         assert (outdir / "basis.crb").exists()
         history = (outdir / "greedy_results.csv").read_bytes()
         assert main(["train-surrogates", "--config", str(cfg_path)]) == 0
-        assert (outdir / "surrogate_gpr.csv").exists()
+        assert (outdir / "surrogate_gpr.bin").exists()
         assert main(["online", "--config", str(cfg_path)]) == 0
         assert (outdir / "timings.csv").exists()
         # the online stage has no greedy history to write and keeps the

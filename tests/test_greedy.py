@@ -255,7 +255,7 @@ class TestPersistence:
     def test_training_data_round_trip(self, tmp_path):
         fam, train = small_train_set((2, 2))
         _, data = greedy_offline(fam, train, tol=1e-3, cg_tol=1e-13)
-        path = tmp_path / "training.csv"
+        path = tmp_path / "training.bin"
         save_training_data(data, path)
         loaded = load_training_data(path, n_params=2)
         np.testing.assert_array_equal(loaded.inputs(), data.inputs())
@@ -266,9 +266,9 @@ class TestPersistence:
         fam, train = small_train_set((2, 2))
         basis, data = greedy_offline(fam, train, tol=1e-3, cg_tol=1e-13)
         save_basis(basis, tmp_path / "basis.crb")
-        save_training_data(data, tmp_path / "training_data.csv")
+        save_training_data(data, tmp_path / "training_data.bin")
         for name, load in (("basis.crb", load_basis),
-                           ("training_data.csv", lambda p: load_training_data(p, n_params=2))):
+                           ("training_data.bin", lambda p: load_training_data(p, n_params=2))):
             bad = corrupted_copy(tmp_path / name, change)
             with pytest.raises(ValueError, match=re.escape(bad.name)):
                 load(bad)
@@ -276,7 +276,7 @@ class TestPersistence:
     def test_training_data_parameter_count_checked(self, tmp_path):
         fam, train = small_train_set((2, 2))
         _, data = greedy_offline(fam, train, tol=1e-3, cg_tol=1e-13)
-        path = tmp_path / "training.csv"
+        path = tmp_path / "training.bin"
         save_training_data(data, path)
         with pytest.raises(ValueError, match="parameter columns"):
             load_training_data(path, n_params=1)

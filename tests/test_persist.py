@@ -1,0 +1,92 @@
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ctrlrom import persist
+from ctrlrom.experiment import surrogate_path
+from ctrlrom.greedy_rom import (
+    greedy_offline,
+    load_basis,
+    load_training_data,
+    save_basis,
+    save_training_data,
+)
+from ctrlrom.surrogates import GPRegressor, KernelRegressor, MLPRegressor, load_model
+from ctrlrom.system import build_heat_family, sample_grid
+
+from conftest import corrupted_copy
+
+LOADERS = {
+    "basis": load_basis,
+    "training_data": lambda path: load_training_data(path, n_params=2),
+    "kernel": load_model,
+    "gpr": load_model,
+    "mlp": load_model,
+}
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """One file of each of the five kinds the pipeline reads back."""
+    outdir = tmp_path_factory.mktemp("persisted")
+    fam = build_heat_family(n_y=6, T=0.1, steps_per_point=8)
+    basis, data = greedy_offline(fam, sample_grid(fam.domain, [3, 2]), tol=1e-4, cg_tol=1e-13)
+    paths = {"basis": outdir / "basis.crb", "training_data": outdir / "training_data.bin"}
+    save_basis(basis, paths["basis"])
+    save_training_data(data, paths["training_data"])
+    for model in (KernelRegressor(beta=0.5), GPRegressor(restarts=1),
+                  MLPRegressor(restarts=1, max_steps=50)):
+        paths[model.kind] = surrogate_path(outdir, model.kind)
+        model.fit(data).save(paths[model.kind])
+    return paths
+
+
+class TestCorruptFiles:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(LOADERS)), data=st.data())
+    def test_any_cut_or_extension_rejected(self, saved_files, kind, data):
+        path = saved_files[kind]
+        size = path.stat().st_size
+        change = data.draw(st.one_of(
+            st.integers(0, size - 1).map(lambda cut: cut - size),
+            st.binary(min_size=1, max_size=16),
+        ))
+        bad = corrupted_copy(path, change)
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            LOADERS[kind](bad)
+
+    def test_intact_files_load(self, saved_files):
+        # the property above is vacuous unless the uncorrupted files load
+        for kind, path in saved_files.items():
+            LOADERS[kind](path)
+
+
+class TestContainer:
+    def test_round_trip_keeps_order_shapes_and_bits(self, tmp_path, rng):
+        arrays = {"b": rng.standard_normal((3, 2)), "a": np.zeros((0, 4)), "c": np.array(1.5)}
+        path = tmp_path / "x.bin"
+        persist.write(path, "thing", {"n": 3, "w": 0.1}, arrays)
+        kind, meta, loaded = persist.read(path, "thing")
+        assert kind == "thing" and meta == {"n": 3, "w": 0.1}
+        assert list(loaded) == ["b", "a", "c"]
+        for name, a in arrays.items():
+            assert loaded[name].shape == a.shape
+            np.testing.assert_array_equal(loaded[name], a)
+
+    def test_other_kind_rejected(self, saved_files):
+        with pytest.raises(ValueError, match="'training_data' record, expected basis"):
+            load_basis(saved_files["training_data"])
+        with pytest.raises(ValueError, match="'basis' record"):
+            load_model(saved_files["basis"])
+        with pytest.raises(ValueError, match="'gpr' record, expected kernel"):
+            KernelRegressor.load(saved_files["gpr"])
+
+    def test_rows_must_pair_up(self, tmp_path):
+        path = tmp_path / "training_data.bin"
+        persist.write(path, "training_data", {},
+                      {"parameters": np.zeros((4, 2)), "coefficients": np.zeros((3, 5))})
+        with pytest.raises(ValueError, match="do not pair up"):
+            load_training_data(path, n_params=2)

@@ -94,7 +94,7 @@ class TestKernelRegressor:
     def test_save_load_round_trip(self, tmp_path):
         data = make_training_data(n=10, seed=4)
         model = KernelRegressor(beta=0.8).fit(data)
-        path = tmp_path / "kernel.csv"
+        path = tmp_path / "kernel.bin"
         model.save(path)
         loaded = load_model(path)
         for mu, _ in data.pairs:
@@ -137,7 +137,7 @@ class TestGPRegressor:
     def test_save_load_round_trip(self, tmp_path):
         data = make_training_data(n=9, seed=8)
         model = GPRegressor(restarts=3, seed=1).fit(data)
-        path = tmp_path / "gpr.csv"
+        path = tmp_path / "gpr.bin"
         model.save(path)
         loaded = load_model(path)
         for mu, _ in data.pairs:
