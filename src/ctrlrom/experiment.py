@@ -1,19 +1,20 @@
-"""Configuration-driven experiment pipeline: offline greedy, surrogate
-training, certified online evaluation on random test parameters, singular
-value diagnostics, timings, and CSV emission.
+"""Configuration-driven experiment pipeline in three stages, each written
+once, plus the singular value diagnostic.
 
-A run reproduces the benchmark workflow end to end: build the reduced basis
-on a training grid, fit the requested surrogates on the coefficients the
-greedy loop collected, then for every test parameter compare the exact
-solution against the reduced and learned models, recording adjoint errors in
-the weighted norm, control errors in the discrete time-integrated norm, and
-per-query runtimes.
+``offline_stage`` builds the reduced basis on a training grid,
+``training_stage`` fits the requested surrogates on the coefficients the
+greedy loop collected, and ``online_stage`` compares, at every random test
+parameter, the exact solution against the reduced and learned models,
+recording adjoint errors in the weighted norm, control errors in the
+discrete time-integrated norm, and per-query runtimes.  Each stage writes its
+own files into ``config.output_dir`` and returns its result;
+``run_experiment`` runs the three in order.
 """
 
 import configparser
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,9 @@ from .numerics import svd_singular_values
 from .system import FAMILY_BUILDERS, sample_grid, sample_random
 
 FAILURE_MARKER = "run_failed.marker"
+BASIS_FILE = "basis.crb"
+TRAINING_FILE = "training_data.bin"
+SINGULAR_VALUES_FILE = "singular_values.csv"
 
 # Per-family experiment defaults.  The wave configuration runs at a reduced
 # spatial resolution and a looser CG tolerance: the final-time adjoint
@@ -44,7 +48,12 @@ _FAMILY_DEFAULTS = {
 
 @dataclass
 class ExperimentConfig:
-    """All knobs of one experiment run; see docs in the README."""
+    """All settings of one experiment run; see the README.
+
+    Each field is one INI key (its section is in ``_SECTIONS``) and one
+    command-line flag (``cli.FLAGS``); a ``<kind>_*`` field is the
+    constructor argument ``*`` of the surrogate of that kind.
+    """
 
     family: str = "heat"
     n_y: int = 100
@@ -83,9 +92,8 @@ class ExperimentConfig:
             raise ValueError("tolerances must be positive")
         if self.max_basis < 1 or self.test_count < 0:
             raise ValueError("max_basis >= 1 and test_count >= 0 required")
-        unknown = set(self.surrogate_kinds) - set(surrogates.REGRESSOR_CLASSES)
-        if unknown:
-            raise ValueError(f"unknown surrogate kinds: {sorted(unknown)}")
+        for kind in self.surrogate_kinds:
+            _regressor(self, kind)  # rejects an unknown kind or a bad setting
         return self
 
 
@@ -138,7 +146,7 @@ def _parse_value(text, template):
 
 def save_config(config, path):
     """Write a config as a flat key/value file with sections."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SECTIONS.items():
         parser[section] = {key: _format_value(getattr(config, key)) for key in keys}
     with open(path, "w", encoding="utf-8") as fh:
@@ -152,8 +160,8 @@ def load_config(path):
     family named in the file; a section or key that ``save_config`` does not
     write there raises ``ValueError``.
     """
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
+    parser = configparser.ConfigParser(interpolation=None)
+    if not parser.read(path, encoding="utf-8"):
         raise FileNotFoundError(path)
     family = parser.get("family", "family", fallback="heat")
     defaults = default_config(family)
@@ -185,30 +193,18 @@ def training_parameters(config, family):
     return sample_grid(family.domain, list(config.train_grid))
 
 
+def _regressor(config, kind):
+    """Unfitted regressor of ``kind`` with the config's ``<kind>_*`` settings."""
+    prefix = kind + "_"
+    settings = {f.name[len(prefix):]: getattr(config, f.name)
+                for f in fields(config) if f.name.startswith(prefix)}
+    return surrogates.make_regressor(kind, seed=config.surrogate_seed, **settings)
+
+
 def fit_surrogates(config, training_data):
     """Fit every requested surrogate on the greedy training pairs."""
-    models = {}
-    for kind in config.surrogate_kinds:
-        if kind == "kernel":
-            models[kind] = surrogates.KernelRegressor(
-                beta=config.kernel_beta,
-                p_greedy_tol=config.kernel_p_greedy_tol,
-                regularization=config.kernel_regularization,
-            ).fit(training_data)
-        elif kind == "gpr":
-            models[kind] = surrogates.GPRegressor(
-                restarts=config.gpr_restarts,
-                jitter=config.gpr_jitter,
-                seed=config.surrogate_seed,
-            ).fit(training_data)
-        elif kind == "mlp":
-            models[kind] = surrogates.MLPRegressor(
-                seed=config.surrogate_seed,
-                restarts=config.mlp_restarts,
-                val_fraction=config.mlp_val_fraction,
-                patience=config.mlp_patience,
-            ).fit(training_data)
-    return models
+    return {kind: _regressor(config, kind).fit(training_data)
+            for kind in config.surrogate_kinds}
 
 
 @dataclass
@@ -346,20 +342,6 @@ def _model_result(inst, exact, solution, runtime):
     )
 
 
-def evaluate_online(config, family, basis, models, train_set):
-    """Online stage: evaluate every model on random test parameters outside
-    ``train_set`` and check the run's invariants (nothing runs without a basis)."""
-    report = RunReport(config=config, greedy_history=basis.history, basis_size=basis.size,
-                       model_names=["g-rom", *models.keys()])
-    if config.test_count > 0 and basis.size > 0:
-        test_set = sample_random(family.domain, config.test_count, seed=config.test_seed,
-                                 exclude=train_set)
-        report.rows = _evaluate_test_set(config, family, basis, models, test_set)
-        report.exact_avg_runtime = float(np.mean([row.exact_runtime for row in report.rows]))
-        _check_invariants(report)
-    return report
-
-
 def surrogate_path(outdir, kind):
     """File of the surrogate of ``kind``."""
     return Path(outdir) / f"surrogate_{kind}.bin"
@@ -396,93 +378,116 @@ def _check_invariants(report):
                 )
 
 
-def run_experiment(config, outdir=None, emit=True):
-    """Execute the full pipeline described by ``config``.
+def _output_dir(config):
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
-    Any stage failure leaves a marker file naming the failed stage in the
-    output directory before the exception propagates.
+
+def offline_stage(config):
+    """Greedy reduced basis on the training grid.
+
+    Writes the config, the basis, the training pairs and the greedy history;
+    returns ``(basis, training_data)``.
     """
-    config.validate()
-    outdir = Path(outdir if outdir is not None else config.output_dir)
-    if emit:
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / FAILURE_MARKER).unlink(missing_ok=True)
+    outdir = _output_dir(config)
+    save_config(config, outdir / "config.ini")
+    family = build_family(config)
+    basis, training_data = greedy_rom.greedy_offline(
+        family,
+        training_parameters(config, family),
+        tol=config.tolerance,
+        max_basis=config.max_basis,
+        cg_tol=config.cg_tol,
+        cg_max_iter=_cg_max_iter(config),
+        track_true_errors=config.track_true_errors,
+    )
+    greedy_rom.save_basis(basis, outdir / BASIS_FILE)
+    greedy_rom.save_training_data(training_data, outdir / TRAINING_FILE)
+    write_greedy_history(basis.history, outdir / "greedy_results.csv")
+    return basis, training_data
 
-    stage = "build-family"
-    try:
+
+def training_stage(config, training_data):
+    """Fit the requested surrogates and write one file per kind; returns
+    ``{kind: model}``.  An empty basis leaves nothing to learn: no model."""
+    if training_data.n_coeffs == 0:
+        return {}
+    outdir = _output_dir(config)
+    models = fit_surrogates(config, training_data)
+    for kind, model in models.items():
+        model.save(surrogate_path(outdir, kind))
+    return models
+
+
+def online_stage(config, basis, models):
+    """Evaluate the reduced model and ``models`` on random test parameters
+    outside the training grid, check the run's invariants and write the error
+    and timing CSVs; returns the ``RunReport``.  Nothing runs without a basis."""
+    report = RunReport(config=config, greedy_history=basis.history, basis_size=basis.size,
+                       model_names=["g-rom", *models])
+    if config.test_count > 0 and basis.size > 0:
         family = build_family(config)
-        train_set = training_parameters(config, family)
-
-        stage = "offline-greedy"
-        basis, training_data = greedy_rom.greedy_offline(
-            family,
-            train_set,
-            tol=config.tolerance,
-            max_basis=config.max_basis,
-            cg_tol=config.cg_tol,
-            cg_max_iter=_cg_max_iter(config),
-            track_true_errors=config.track_true_errors,
-        )
-
-        stage = "train-surrogates"
-        models = fit_surrogates(config, training_data) if basis.size else {}
-
-        stage = "online-evaluation"
-        report = evaluate_online(config, family, basis, models, train_set)
-
-        stage = "emit-reports"
-        if emit:
-            emit_reports(report, outdir)
-            write_greedy_history(basis.history, outdir / "greedy_results.csv")
-            greedy_rom.save_basis(basis, outdir / "basis.crb")
-            greedy_rom.save_training_data(training_data, outdir / "training_data.bin")
-            for kind, model in models.items():
-                model.save(surrogate_path(outdir, kind))
-    except Exception as exc:
-        if emit:
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / FAILURE_MARKER).write_text(
-                f"stage: {stage}\nerror: {type(exc).__name__}: {exc}\n", encoding="utf-8"
-            )
-        raise
+        test_set = sample_random(family.domain, config.test_count, seed=config.test_seed,
+                                 exclude=training_parameters(config, family))
+        report.rows = _evaluate_test_set(config, family, basis, models, test_set)
+        report.exact_avg_runtime = float(np.mean([row.exact_runtime for row in report.rows]))
+        _check_invariants(report)
+    emit_reports(report, _output_dir(config))
     return report
 
 
-def run_svd_diagnostic(config, damping_list=None, cg_tol=None, outdir=None, emit=True):
+def run_experiment(config):
+    """Run the offline, training and online stages in order.
+
+    A failed stage leaves a marker file naming it in the output directory,
+    next to the files of the stages that finished, before the exception
+    propagates.
+    """
+    outdir = _output_dir(config.validate())
+    (outdir / FAILURE_MARKER).unlink(missing_ok=True)
+    stage = "offline-greedy"
+    try:
+        basis, training_data = offline_stage(config)
+        stage = "train-surrogates"
+        models = training_stage(config, training_data)
+        stage = "online-evaluation"
+        return online_stage(config, basis, models)
+    except Exception as exc:
+        (outdir / FAILURE_MARKER).write_text(
+            f"stage: {stage}\nerror: {type(exc).__name__}: {exc}\n", encoding="utf-8"
+        )
+        raise
+
+
+def run_svd_diagnostic(config, damping_list=None):
     """Singular values of the exact final-time adjoints over the training set.
 
     For the wave family, one spectrum per damping constant in
     ``damping_list``; for the heat family a single spectrum.  Returns a dict
     mapping the damping value (or None for heat) to the descending singular
-    values and optionally writes ``singular_values.csv``.
+    values and writes them to ``singular_values.csv``.
     """
     config.validate()
-    cg_tol = cg_tol if cg_tol is not None else config.cg_tol
-    spectra = {}
     if config.family == "wave":
         nus = list(damping_list) if damping_list is not None else [config.nu]
-        for nu in nus:
-            family = build_family(replace(config, nu=float(nu)))
-            spectra[float(nu)] = _training_set_singular_values(config, family, cg_tol)
+        spectra = {float(nu): _training_set_singular_values(replace(config, nu=float(nu)))
+                   for nu in nus}
     else:
-        family = build_family(config)
-        spectra[None] = _training_set_singular_values(config, family, cg_tol)
-
-    if emit:
-        outdir = Path(outdir if outdir is not None else config.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_singular_values_csv(spectra, outdir / "singular_values.csv")
+        spectra = {None: _training_set_singular_values(config)}
+    _write_singular_values_csv(spectra, _output_dir(config) / SINGULAR_VALUES_FILE)
     return spectra
 
 
-def _training_set_singular_values(config, family, cg_tol):
-    train_set = training_parameters(config, family)
+def _training_set_singular_values(config):
+    family = build_family(config)
     ip = None
     columns = []
-    for mu in train_set:
+    for mu in training_parameters(config, family):
         inst = family.build(mu)
         ip = inst.ip
-        columns.append(solve_exact(inst, cg_tol=cg_tol, max_iter=_cg_max_iter(config)).phiT)
+        columns.append(solve_exact(inst, cg_tol=config.cg_tol,
+                                   max_iter=_cg_max_iter(config)).phiT)
     return svd_singular_values(columns, ip)
 
 
@@ -518,10 +523,7 @@ def write_greedy_history(history, path):
 
 
 def emit_reports(report, outdir):
-    """Write the per-parameter error and timing CSVs."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
+    """Write the per-parameter error and timing CSVs into ``outdir``."""
     p = len(report.rows[0].parameter) if report.rows else 0
     param_cols = [f"mu_{i}" for i in range(p)]
     with open(outdir / "analysis_results_errors.csv", "w", encoding="utf-8") as fh:

@@ -70,6 +70,8 @@ class GPRegressor(CoefficientRegressor):
 
     def __init__(self, restarts=10, jitter=1e-3, seed=0, sweeps=3, line_iters=20):
         super().__init__(seed=seed)
+        if restarts < 1:
+            raise ValueError(f"gpr needs at least one restart, got {restarts}")
         self.restarts = int(restarts)
         self.jitter = float(jitter)
         self.sweeps = int(sweeps)

@@ -76,6 +76,10 @@ class MLPRegressor(CoefficientRegressor):
         check_every=25,
     ):
         super().__init__(seed=seed)
+        if restarts < 1:
+            raise ValueError(f"mlp needs at least one restart, got {restarts}")
+        if not 0.0 <= val_fraction < 1.0:
+            raise ValueError(f"mlp validation fraction must lie in [0, 1), got {val_fraction}")
         self.restarts = int(restarts)
         self.val_fraction = float(val_fraction)
         self.patience = int(patience)

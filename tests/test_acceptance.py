@@ -39,26 +39,27 @@ from ctrlrom.system import build_heat_family, build_wave_family, sample_grid
 
 
 @pytest.fixture(scope="session")
-def heat_run():
-    cfg = default_config("heat")
+def heat_run(tmp_path_factory):
+    cfg = replace(default_config("heat"), output_dir=str(tmp_path_factory.mktemp("heat")))
     t0 = time.perf_counter()
-    report = run_experiment(cfg, emit=False)
+    report = run_experiment(cfg)
     return cfg, report, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def wave_run():
-    cfg = default_config("wave")
+def wave_run(tmp_path_factory):
+    cfg = replace(default_config("wave"), output_dir=str(tmp_path_factory.mktemp("wave")))
     t0 = time.perf_counter()
-    report = run_experiment(cfg, emit=False)
+    report = run_experiment(cfg)
     return cfg, report, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def svd_spectra():
-    heat = run_svd_diagnostic(default_config("heat"), emit=False)[None]
-    wave_cfg = replace(default_config("wave"), train_grid=(28,))
-    wave = run_svd_diagnostic(wave_cfg, damping_list=[0.0, 100.0], cg_tol=1e-7, emit=False)
+def svd_spectra(tmp_path_factory):
+    outdir = str(tmp_path_factory.mktemp("svd"))
+    heat = run_svd_diagnostic(replace(default_config("heat"), output_dir=outdir))[None]
+    wave_cfg = replace(default_config("wave"), train_grid=(28,), cg_tol=1e-7, output_dir=outdir)
+    wave = run_svd_diagnostic(wave_cfg, damping_list=[0.0, 100.0])
     return heat, wave
 
 

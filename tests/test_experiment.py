@@ -1,11 +1,13 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ctrlrom.cli import main
+from ctrlrom.cli import FLAGS, _resolve_config, build_parser, main
 from ctrlrom.errors import ConvergenceError, GreedyBudgetError
 from ctrlrom.experiment import (
     ExperimentConfig,
@@ -40,12 +42,105 @@ def tiny_heat_config(outdir, **overrides):
     return ExperimentConfig(**base).validate()
 
 
+_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# one strategy per config field, drawing only configs that validate; tuples
+# are non-empty, since a flag with nargs="+" cannot spell an empty one
+FIELD_STRATEGIES = dict(
+    family=st.sampled_from(["heat", "wave"]),
+    n_y=st.integers(min_value=2),
+    T=_ANY_FLOAT,
+    steps_per_point=st.integers(min_value=1),
+    nu=_ANY_FLOAT,
+    train_grid=st.lists(st.integers(1, 64), min_size=1, max_size=3).map(tuple),
+    tolerance=_POSITIVE,
+    max_basis=st.integers(min_value=1),
+    cg_tol=_POSITIVE,
+    cg_max_iter=st.integers(),
+    track_true_errors=st.booleans(),
+    surrogate_kinds=st.lists(st.sampled_from(["kernel", "gpr", "mlp"]),
+                             min_size=1, max_size=4).map(tuple),
+    kernel_beta=_POSITIVE,
+    kernel_p_greedy_tol=_ANY_FLOAT,
+    kernel_regularization=_ANY_FLOAT,
+    gpr_restarts=st.integers(min_value=1),
+    gpr_jitter=_ANY_FLOAT,
+    mlp_restarts=st.integers(min_value=1),
+    mlp_val_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    mlp_patience=st.integers(),
+    surrogate_seed=st.integers(),
+    test_count=st.integers(min_value=0),
+    test_seed=st.integers(),
+    workers=st.integers(),
+    # INI values lose surrounding whitespace, and argparse before Python
+    # 3.13 drops a flag value that is exactly "--" (``--output-dir=--``)
+    output_dir=st.text(alphabet="ab/_-.%;#=:[] é", max_size=12).filter(
+        lambda s: s == s.strip() and s != "--"),
+    certify=st.booleans(),
+    time_runs=st.booleans(),
+)
+
+
+def config_flags(config):
+    """Command-line flags setting every field of ``config``."""
+    argv = []
+    for name, flag in FLAGS.items():
+        value = getattr(config, name)
+        if isinstance(value, bool):
+            argv.append(flag if value else "--no-" + flag[2:])
+        elif isinstance(value, tuple):
+            argv += [flag, *map(str, value)]
+        else:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
 class TestConfigFile:
-    def test_round_trip_lossless(self, tmp_path):
-        cfg = tiny_heat_config(tmp_path / "out", tolerance=3.7e-5, kernel_beta=0.123456789012345)
-        path = tmp_path / "config.ini"
+    def test_round_trip_draws_every_field(self):
+        assert set(FIELD_STRATEGIES) == {f.name for f in fields(ExperimentConfig)}
+
+    @given(cfg=st.builds(ExperimentConfig, **FIELD_STRATEGIES))
+    @example(cfg=tiny_heat_config("out", tolerance=3.7e-5, kernel_beta=0.123456789012345))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_lossless(self, cfg, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "round_trip.ini"
         save_config(cfg, path)
         assert load_config(path) == cfg
+        args = build_parser().parse_args(["offline", *config_flags(cfg)])
+        assert _resolve_config(args) == cfg
+
+    def test_flag_spellings(self):
+        args = build_parser().parse_args([
+            "online", "--final-time", "0.5", "--surrogates", "gpr", "kernel",
+            "--no-certify", "--no-timing", "--track-true-errors",
+        ])
+        cfg = _resolve_config(args)
+        assert cfg.T == 0.5
+        assert cfg.surrogate_kinds == ("gpr", "kernel")
+        assert (cfg.certify, cfg.time_runs, cfg.track_true_errors) == (False, False, True)
+
+    def test_readme_sample_is_the_heat_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "readme.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+        assert load_config(path) == default_config("heat")
+
+    @pytest.mark.parametrize("setting", [
+        dict(kernel_beta=0.0),
+        dict(gpr_restarts=0),
+        dict(mlp_restarts=0),
+        dict(mlp_val_fraction=1.0),
+        dict(mlp_val_fraction=-0.1),
+    ])
+    def test_bad_surrogate_setting_rejected_before_any_stage(self, tmp_path, setting):
+        with pytest.raises(ValueError):
+            tiny_heat_config(tmp_path, **setting)
+        outdir = tmp_path / "run"
+        flags = [f"{FLAGS[key]}={value}" for key, value in setting.items()]
+        with pytest.raises(SystemExit) as exit_:
+            main(["full-run", "--n-y", "6", "--output-dir", str(outdir), *flags])
+        assert exit_.value.code == 2
+        assert not outdir.exists()
 
     def test_defaults_per_family(self):
         heat = default_config("heat")
@@ -173,7 +268,7 @@ class TestRunExperiment:
 class TestSvdDiagnostic:
     def test_heat_spectrum(self, tmp_path):
         cfg = tiny_heat_config(tmp_path, train_grid=(3, 3))
-        spectra = run_svd_diagnostic(cfg, outdir=tmp_path)
+        spectra = run_svd_diagnostic(cfg)
         sigma = spectra[None]
         assert len(sigma) == min(9, cfg.n_y)  # min(snapshots, state dimension)
         assert np.all(np.diff(sigma) <= 1e-12)  # descending
@@ -184,7 +279,7 @@ class TestSvdDiagnostic:
             family="wave", n_y=6, T=0.5, steps_per_point=4, train_grid=(4,),
             tolerance=1e-2, cg_tol=1e-10, test_count=0, output_dir=str(tmp_path),
         ).validate()
-        spectra = run_svd_diagnostic(cfg, damping_list=[0.0, 20.0], outdir=tmp_path)
+        spectra = run_svd_diagnostic(cfg, damping_list=[0.0, 20.0])
         assert set(spectra) == {0.0, 20.0}
         header = (tmp_path / "singular_values.csv").read_text().splitlines()[0]
         assert "nu=0" in header and "nu=20" in header
@@ -213,6 +308,33 @@ class TestCli:
         # the online stage has no greedy history to write and keeps the
         # offline stage's file
         assert (outdir / "greedy_results.csv").read_bytes() == history
+
+    def test_online_rejects_missing_surrogate_file(self, tmp_path):
+        outdir = tmp_path / "staged"
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(tiny_heat_config(outdir, test_count=1), cfg_path)
+        assert main(["offline", "--config", str(cfg_path)]) == 0
+        assert main(["train-surrogates", "--config", str(cfg_path)]) == 0
+        (outdir / "surrogate_gpr.bin").unlink()
+        with pytest.raises(FileNotFoundError, match="surrogate_gpr.bin"):
+            main(["online", "--config", str(cfg_path)])
+
+    @pytest.mark.parametrize("tolerance", [1e-4, 1e3])  # 1e3: empty basis
+    def test_staged_commands_write_what_full_run_writes(self, tmp_path, tolerance):
+        files = {}
+        for name, commands in (("staged", ("offline", "train-surrogates", "online")),
+                               ("full", ("full-run",))):
+            cfg_path = tmp_path / f"{name}.ini"
+            save_config(tiny_heat_config(tmp_path / name, test_count=2), cfg_path)
+            for command in commands:
+                assert main([command, "--config", str(cfg_path),
+                             "--tolerance", str(tolerance)]) == 0
+            files[name] = sorted(p.name for p in (tmp_path / name).iterdir())
+        assert files["staged"] == files["full"]
+        assert ("surrogate_mlp.bin" in files["full"]) == (tolerance < 1)
+        for name in set(files["full"]) - {"config.ini", "timings.csv"}:
+            assert (tmp_path / "staged" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes(), name
 
     def test_flag_overrides(self, tmp_path):
         outdir = tmp_path / "flags"

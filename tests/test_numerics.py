@@ -69,6 +69,20 @@ class TestCgSolve:
         x, _, _ = cg_solve(lambda v: A @ v, b, ip, tol=tol)
         assert ip.norm(b - A @ x) <= tol
 
+    def test_stops_with_a_margin_below_tol(self, rng):
+        # an iterate whose verified residual lies within 0.1 % below tol is
+        # not returned: another evaluation of its residual could exceed tol.
+        # The spectrum is clustered so that CG stops well before n steps.
+        Q = rng.standard_normal((40, 40))
+        A = np.eye(40) + 0.05 * (Q @ Q.T) / 40
+        b = rng.standard_normal(40)
+        ip = InnerProduct(weight=0.5)
+        _, iters, res = cg_solve(lambda v: A @ v, b, ip, tol=1e-6)
+        tol = res / (1 - 5e-4)
+        _, close_iters, close_res = cg_solve(lambda v: A @ v, b, ip, tol=tol)
+        assert close_res < res
+        assert close_iters > iters
+
     def test_max_iter_error_carries_best_iterate(self, rng):
         A = rng.standard_normal((12, 12))
         A = A @ A.T + 0.1 * np.eye(12)
