@@ -17,6 +17,7 @@ certificates cancel O(1) terms down to tiny residuals and would otherwise
 change with the grouping of the vectors.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +139,24 @@ def apply_system_operator(inst, p):
     to a vector of shape (n,) or to each column of a block of shape (n, k)."""
     p = np.asarray(p, dtype=float)
     return p + inst.apply_M(apply_gramian(inst, p))
+
+
+def operator_key(inst):
+    """Digest under which instances share their system operator p -> p + M Gramian(p).
+
+    Hashes everything ``apply_system_operator`` reads from ``inst``:
+    ``grid`` (step count and dt of both sweeps), ``ip.weight`` (inside
+    ``B_adj``), ``step_propagator`` (backward sweep through its transpose,
+    forward sweep), ``step_input_map`` (forward sweep), ``B_adj`` and ``R``
+    (``_controls``) and ``M`` (``apply_M``).  Equal keys give bit-identical
+    images.  A 16-byte digest, not the raw bytes, so a key costs no memory.
+    """
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.array([inst.grid.T, inst.grid.n_t, inst.ip.weight]).tobytes())
+    for a in (inst.step_propagator, inst.step_input_map, inst.B_adj, inst.R, inst.M):
+        h.update(np.array(a.shape).tobytes())
+        h.update(a.tobytes())
+    return h.digest()
 
 
 def rhs_vector(inst):

@@ -84,6 +84,10 @@ class ExperimentConfig:
     time_runs: bool = True
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, str) and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
         if self.family not in FAMILY_BUILDERS:
             raise ValueError(f"unknown family '{self.family}'")
         if self.n_y < 2 or self.steps_per_point < 1:
@@ -92,6 +96,10 @@ class ExperimentConfig:
             raise ValueError("tolerances must be positive")
         if self.max_basis < 1 or self.test_count < 0:
             raise ValueError("max_basis >= 1 and test_count >= 0 required")
+        if self.cg_max_iter < 0:
+            raise ValueError("cg_max_iter >= 0 required (0 = solver default)")
+        # rejects a grid that does not fit the family, or T <= 0, nu < 0
+        training_parameters(self, build_family(self))
         for kind in self.surrogate_kinds:
             _regressor(self, kind)  # rejects an unknown kind or a bad setting
         return self

@@ -6,12 +6,15 @@ time-invariant control problem with quadratic final-time tracking cost:
     x'(t) = A x(t) + B u(t),   x(0) = x0,
     J(u)  = 1/2 <x(T) - xT, M (x(T) - xT)> + 1/2 int_0^T <u, R u> dt.
 
-Families map a parameter vector to such an instance deterministically.  The
-two built-in families discretize a boundary-controlled heat equation and a
+Families map a parameter vector to such an instance deterministically.  They
+assemble their arrays at the first build, so creating a family only checks
+its settings and costs nothing that grows with the resolution.  The two
+built-in families discretize a boundary-controlled heat equation and a
 boundary-controlled damped wave equation (written as a first-order system)
 with second-order central finite differences.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,16 +166,17 @@ def build_heat_family(n_y=100, T=0.1, steps_per_point=30):
     if n_y < 2:
         raise ValueError("need at least two inner grid points")
     h = 1.0 / (n_y + 1)
-    y = h * np.arange(1, n_y + 1)
-    lap = _laplacian_1d(n_y)
-    x0 = np.sin(np.pi * y)
-    M = np.eye(n_y)
-    R = np.diag([0.125, 0.25])
     ip = InnerProduct(weight=h)
     grid = TimeGrid(T=T, n_t=steps_per_point * n_y)
 
+    @functools.cache
+    def shared():  # assembled at the first build, then shared by every instance
+        y = h * np.arange(1, n_y + 1)
+        return y, _laplacian_1d(n_y), np.sin(np.pi * y), np.eye(n_y), np.diag([0.125, 0.25])
+
     def builder(mu):
         mu1, mu2 = float(mu[0]), float(mu[1])
+        y, lap, x0, M, R = shared()
         A = (mu1 / h**2) * lap
         B = np.zeros((n_y, 2))
         B[0, 0] = mu1 / h**2
@@ -195,18 +199,20 @@ def build_wave_family(n_y=100, T=1.0, steps_per_point=10, nu=10.0):
     if nu < 0:
         raise ValueError("damping constant must be non-negative")
     h = 1.0 / (n_y + 1)
-    y = h * np.arange(1, n_y + 1)
-    lap = _laplacian_1d(n_y)
     n = 2 * n_y
-    x0 = np.concatenate([np.sin(np.pi * y), np.zeros(n_y)])
-    xT = np.concatenate([y, np.zeros(n_y)])
-    M = 10.0 * np.eye(n)
-    R = np.array([[0.1]])
     ip = InnerProduct(weight=h)
     grid = TimeGrid(T=T, n_t=steps_per_point * n_y)
 
+    @functools.cache
+    def shared():  # assembled at the first build, then shared by every instance
+        y = h * np.arange(1, n_y + 1)
+        x0 = np.concatenate([np.sin(np.pi * y), np.zeros(n_y)])
+        xT = np.concatenate([y, np.zeros(n_y)])
+        return _laplacian_1d(n_y), x0, xT, 10.0 * np.eye(n), np.array([[0.1]])
+
     def builder(mu):
         mu_val = float(np.asarray(mu).reshape(-1)[0])
+        lap, x0, xT, M, R = shared()
         A = np.zeros((n, n))
         A[:n_y, n_y:] = np.eye(n_y)
         A[n_y:, :n_y] = (mu_val / h**2) * lap
@@ -229,7 +235,8 @@ def sample_grid(domain, counts):
     """
     counts = [int(c) for c in np.atleast_1d(counts)]
     if len(counts) != domain.dim:
-        raise ValueError("one count per parameter axis required")
+        raise ValueError(f"one count per parameter axis required: got {len(counts)} "
+                         f"for {domain.dim} axes")
     if any(c < 1 for c in counts):
         raise ValueError("counts must be >= 1")
     axes = [

@@ -49,14 +49,14 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 FIELD_STRATEGIES = dict(
     family=st.sampled_from(["heat", "wave"]),
     n_y=st.integers(min_value=2),
-    T=_ANY_FLOAT,
+    T=_POSITIVE,
     steps_per_point=st.integers(min_value=1),
-    nu=_ANY_FLOAT,
-    train_grid=st.lists(st.integers(1, 64), min_size=1, max_size=3).map(tuple),
+    nu=st.floats(min_value=0.0, allow_infinity=False),
+    train_grid=st.lists(st.integers(1, 64), min_size=1, max_size=2).map(tuple),
     tolerance=_POSITIVE,
     max_basis=st.integers(min_value=1),
     cg_tol=_POSITIVE,
-    cg_max_iter=st.integers(),
+    cg_max_iter=st.integers(min_value=0),
     track_true_errors=st.booleans(),
     surrogate_kinds=st.lists(st.sampled_from(["kernel", "gpr", "mlp"]),
                              min_size=1, max_size=4).map(tuple),
@@ -79,6 +79,9 @@ FIELD_STRATEGIES = dict(
     certify=st.booleans(),
     time_runs=st.booleans(),
 )
+# the training grid needs one count per parameter axis of the family
+VALID_CONFIGS = st.builds(ExperimentConfig, **FIELD_STRATEGIES).filter(
+    lambda c: len(c.train_grid) == {"heat": 2, "wave": 1}[c.family])
 
 
 def config_flags(config):
@@ -99,7 +102,7 @@ class TestConfigFile:
     def test_round_trip_draws_every_field(self):
         assert set(FIELD_STRATEGIES) == {f.name for f in fields(ExperimentConfig)}
 
-    @given(cfg=st.builds(ExperimentConfig, **FIELD_STRATEGIES))
+    @given(cfg=VALID_CONFIGS)
     @example(cfg=tiny_heat_config("out", tolerance=3.7e-5, kernel_beta=0.123456789012345))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_lossless(self, cfg, tmp_path_factory):
@@ -141,6 +144,36 @@ class TestConfigFile:
             main(["full-run", "--n-y", "6", "--output-dir", str(outdir), *flags])
         assert exit_.value.code == 2
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("setting, flags, message", [
+        (dict(train_grid=(8,)), ["--train-grid", "8"], "one count per parameter axis"),
+        (dict(cg_max_iter=-1), ["--cg-max-iter=-1"], "cg_max_iter"),
+    ])
+    def test_bad_greedy_setting_rejected_before_any_stage(self, tmp_path, setting, flags,
+                                                          message):
+        with pytest.raises(ValueError, match=message):
+            tiny_heat_config(tmp_path, **setting)
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_:
+            main(["offline", "--family", "heat", "--n-y", "6", "--output-dir", str(outdir),
+                  *flags])
+        assert exit_.value.code == 2
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("setting", [dict(output_dir=()), dict(family=1)])
+    def test_non_string_in_string_field_rejected(self, tmp_path, setting):
+        with pytest.raises(ValueError, match="must be a string"):
+            tiny_heat_config(tmp_path, **setting)
+
+    def test_flag_value_dropped_by_argparse_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        if build_parser().parse_args(["offline", "--output-dir=--"]).output_dir == "--":
+            pytest.skip("this argparse keeps a flag value of '--'")
+        # older argparse drops the value and leaves an empty list
+        with pytest.raises(SystemExit) as exit_:
+            main(["offline", "--n-y", "6", "--output-dir=--"])
+        assert exit_.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_defaults_per_family(self):
         heat = default_config("heat")

@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from ctrlrom.dynamics import apply_system_operator, rhs_vector
+from ctrlrom import dynamics, greedy_rom
+from ctrlrom.dynamics import apply_system_operator, operator_key, rhs_vector
 from ctrlrom.errors import GreedyBudgetError
 from ctrlrom.exact_solver import error_estimator, solve_exact
 from ctrlrom.greedy_rom import (
@@ -18,7 +19,13 @@ from ctrlrom.greedy_rom import (
     save_training_data,
 )
 from ctrlrom.numerics import InnerProduct, gram_schmidt_extend
-from ctrlrom.system import ParameterDomain, ProblemFamily, build_heat_family, sample_grid
+from ctrlrom.system import (
+    ParameterDomain,
+    ProblemFamily,
+    build_heat_family,
+    build_wave_family,
+    sample_grid,
+)
 
 from conftest import CORRUPTIONS, corrupted_copy, make_instance
 
@@ -185,6 +192,59 @@ class TestGreedyOffline:
         mat = basis.matrix()
         gram = basis.ip.weight * (mat.T @ mat)
         assert np.max(np.abs(gram - np.eye(basis.size))) <= 1e-10
+
+
+class TestOperatorGroups:
+    """Training parameters that share a system operator share its images."""
+
+    def test_operator_key(self):
+        heat, wave = build_heat_family(n_y=12), build_wave_family(n_y=8)
+
+        def key(family, mu):
+            return operator_key(family.build(mu))
+
+        # mu_2 enters only the target state
+        assert key(heat, [1.5, 0.5]) == key(heat, [1.5, 1.5])
+        assert key(heat, [1.5, 0.5]) != key(heat, [1.25, 0.5])
+        assert key(wave, [3.0]) != key(wave, [4.0])
+
+    def test_one_image_per_distinct_operator(self, monkeypatch):
+        # a 3 x 4 heat grid has 3 distinct operators, so an iteration applies
+        # one of them 3 times, not once per training parameter (12)
+        fam = build_heat_family(n_y=12)
+        train = sample_grid(fam.domain, [3, 4])
+        images, solving = [], []
+        apply, solve = dynamics.apply_system_operator, greedy_rom.solve_exact
+
+        def counted_apply(inst, p):
+            if not solving:  # the exact solve's CG applies are not images
+                images.append(inst.parameter)
+            return apply(inst, p)
+
+        def counted_solve(*args, **kwargs):
+            solving.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                solving.pop()
+
+        monkeypatch.setattr(dynamics, "apply_system_operator", counted_apply)
+        monkeypatch.setattr(greedy_rom, "solve_exact", counted_solve)
+        basis, _ = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-12)
+        assert basis.size >= 2
+        assert len(images) == 3 * basis.size
+
+    @pytest.mark.parametrize("family, counts, tol, cg_tol", [
+        (build_heat_family(n_y=12), [3, 4], 1e-5, 1e-12),
+        (build_wave_family(n_y=8), [5], 1e-2, 1e-9),
+    ], ids=["heat", "wave"])
+    def test_training_coefficients_equal_projection_bitwise(self, family, counts, tol, cg_tol):
+        basis, data = greedy_offline(family, sample_grid(family.domain, counts),
+                                     tol=tol, cg_tol=cg_tol)
+        assert basis.size >= 2
+        for mu, coeffs in data.pairs:
+            expected, _ = project_coefficients(family.build(mu), basis)
+            assert np.array_equal(coeffs, expected)
 
 
 class TestRomOnline:
