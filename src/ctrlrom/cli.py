@@ -46,7 +46,11 @@ def _resolve_config(args):
         cfg = experiment.default_config(args.family or "heat")
     overrides = {name: tuple(value) if isinstance(value, list) else value
                  for name in FLAGS if (value := getattr(args, name)) is not None}
-    return replace(cfg, **overrides).validate()
+    cfg = replace(cfg, **overrides).validate()
+    if cfg.family == "wave":  # svd-diag's damping sweep, checked before any solve
+        for nu in getattr(args, "damping", None) or ():
+            replace(cfg, nu=nu).validate()
+    return cfg
 
 
 def _report(report):

@@ -40,9 +40,5 @@ class GreedyBudgetError(CtrlRomError):
         self.training_data = training_data
 
 
-class KernelConditioningError(CtrlRomError):
-    """Kernel interpolation system could not be factorized."""
-
-
 class TrainingError(CtrlRomError):
     """All restarts of a surrogate training run failed."""

@@ -38,8 +38,7 @@ SINGULAR_VALUES_FILE = "singular_values.csv"
 # this package's weighted residual norm (factor 1/sqrt(h) at n_y=60); see
 # the README.
 _FAMILY_DEFAULTS = {
-    "heat": dict(n_y=100, T=0.1, steps_per_point=30, train_grid=(8, 8),
-                 tolerance=1e-6, cg_tol=1e-12, kernel_beta=0.5, workers=2),
+    "heat": dict(workers=2),  # the dataclass defaults are the heat setup
     "wave": dict(n_y=60, T=1.0, steps_per_point=10, train_grid=(50,),
                  tolerance=7.81e-2, cg_tol=1e-9, cg_max_iter=8000,
                  kernel_beta=1.0, workers=2),
@@ -68,13 +67,8 @@ class ExperimentConfig:
     track_true_errors: bool = False
     surrogate_kinds: tuple = ("kernel", "gpr", "mlp")
     kernel_beta: float = 0.5
-    kernel_p_greedy_tol: float = 1e-10
-    kernel_regularization: float = 0.0
     gpr_restarts: int = 10
-    gpr_jitter: float = 1e-3
     mlp_restarts: int = 10
-    mlp_val_fraction: float = 0.1
-    mlp_patience: int = 10
     surrogate_seed: int = 0
     test_count: int = 100
     test_seed: int = 2024
@@ -98,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("max_basis >= 1 and test_count >= 0 required")
         if self.cg_max_iter < 0:
             raise ValueError("cg_max_iter >= 0 required (0 = solver default)")
+        if self.test_seed < 0 or self.surrogate_seed < 0:
+            raise ValueError("test_seed >= 0 and surrogate_seed >= 0 required")
         # rejects a grid that does not fit the family, or T <= 0, nu < 0
         training_parameters(self, build_family(self))
         for kind in self.surrogate_kinds:
@@ -118,9 +114,7 @@ _SECTIONS = {
     "training": ("train_grid",),
     "greedy": ("tolerance", "max_basis", "cg_tol", "cg_max_iter", "track_true_errors"),
     "surrogates": (
-        "surrogate_kinds", "kernel_beta", "kernel_p_greedy_tol",
-        "kernel_regularization", "gpr_restarts", "gpr_jitter", "mlp_restarts",
-        "mlp_val_fraction", "mlp_patience", "surrogate_seed",
+        "surrogate_kinds", "kernel_beta", "gpr_restarts", "mlp_restarts", "surrogate_seed",
     ),
     "test": ("test_count", "test_seed", "workers"),
     "output": ("output_dir", "certify", "time_runs"),
@@ -474,15 +468,15 @@ def run_svd_diagnostic(config, damping_list=None):
     For the wave family, one spectrum per damping constant in
     ``damping_list``; for the heat family a single spectrum.  Returns a dict
     mapping the damping value (or None for heat) to the descending singular
-    values and writes them to ``singular_values.csv``.
+    values and writes them to ``singular_values.csv``.  Every damping value
+    is validated before the first solve.
     """
-    config.validate()
     if config.family == "wave":
         nus = list(damping_list) if damping_list is not None else [config.nu]
-        spectra = {float(nu): _training_set_singular_values(replace(config, nu=float(nu)))
-                   for nu in nus}
+        configs = {float(nu): replace(config, nu=float(nu)).validate() for nu in nus}
     else:
-        spectra = {None: _training_set_singular_values(config)}
+        configs = {None: config.validate()}
+    spectra = {key: _training_set_singular_values(cfg) for key, cfg in configs.items()}
     _write_singular_values_csv(spectra, _output_dir(config) / SINGULAR_VALUES_FILE)
     return spectra
 

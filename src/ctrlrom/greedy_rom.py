@@ -177,7 +177,8 @@ def greedy_offline(
     only in their right-hand sides.  Previously cached columns stay valid
     because earlier basis vectors never change.  An iteration thus costs one
     exact solve plus 2 sweeps per distinct system operator in the training
-    set (heat: 8 for the 8x8 grid, since mu_2 enters only xT).
+    set (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  The
+    right-hand sides take one uncontrolled sweep per distinct operator and x0.
 
     Returns the reduced basis and the final coefficients of every training
     parameter.  Ties in the argmax resolve to the smallest training index.
@@ -190,12 +191,17 @@ def greedy_offline(
     train_set = [np.atleast_1d(np.asarray(mu, dtype=float)) for mu in train_set]
     instances = [family.build(mu) for mu in train_set]
     ip = instances[0].ip
-    rhs = [dynamics.rhs_vector(inst) for inst in instances]
-
     n_train = len(train_set)
     groups = {}  # operator key -> indices of the instances sharing that operator
+    free = {}  # (operator key, x0) -> uncontrolled final state
+    rhs = []
     for i, inst in enumerate(instances):
-        groups.setdefault(dynamics.operator_key(inst), []).append(i)
+        key = dynamics.operator_key(inst)
+        groups.setdefault(key, []).append(i)
+        start = (key, inst.x0.tobytes())
+        if start not in free:
+            free[start] = dynamics.solve_state_forward(inst, inst.x0)
+        rhs.append(inst.apply_M(free[start] - inst.xT))  # as dynamics.rhs_vector
     groups = list(groups.values())
     columns = [np.zeros((instances[0].n, 0)) for _ in groups]
     coeffs = [np.zeros(0) for _ in range(n_train)]

@@ -2,11 +2,13 @@
 
 The covariance is a scaled squared-exponential kernel with amplitude c and
 length scale l searched over fixed boxes.  Outputs are normalized to zero
-mean and unit variance per coefficient before fitting; the prediction is
-the posterior mean, de-normalized.  Hyper-parameters maximize the summed
+mean and unit variance per coefficient before fitting, and the kernel
+matrix carries the diagonal ``JITTER`` = 1e-3; the prediction is the
+posterior mean, de-normalized.  Hyper-parameters maximize the summed
 log-marginal likelihood over all outputs via a multi-start coordinate-wise
 golden-section search in log space, which keeps the fit derivative-free,
-deterministic and inside the boxes.
+deterministic and inside the boxes: from each start, ``SWEEPS`` = 3 passes
+over the two coordinates, each a search of ``LINE_ITERS`` = 20 steps.
 """
 
 import numpy as np
@@ -17,6 +19,9 @@ from .base import CoefficientRegressor
 
 C_BOUNDS = (0.1, 1000.0)
 L_BOUNDS = (0.001, 1000.0)
+JITTER = 1e-3  # added to the kernel matrix diagonal
+SWEEPS = 3  # coordinate passes per restart
+LINE_ITERS = 20  # golden-section steps per coordinate search
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -30,10 +35,10 @@ def rbf_kernel(x, y, c, length):
     return c * np.exp(-_sq_dists(x, y) / (2.0 * length**2))
 
 
-def log_marginal_likelihood(X, Y, c, length, jitter):
+def log_marginal_likelihood(X, Y, c, length):
     """Summed log-marginal likelihood of all output columns under one kernel."""
     n = X.shape[0]
-    K = rbf_kernel(X, X, c, length) + jitter * np.eye(n)
+    K = rbf_kernel(X, X, c, length) + JITTER * np.eye(n)
     try:
         factor = cho_factor(K, lower=True)
     except np.linalg.LinAlgError:
@@ -45,13 +50,13 @@ def log_marginal_likelihood(X, Y, c, length, jitter):
     return -0.5 * quad - 0.5 * n_out * (logdet + n * np.log(2.0 * np.pi))
 
 
-def _golden_max(f, lo, hi, iters=20):
+def _golden_max(f, lo, hi):
     """Golden-section maximization of a scalar function on [lo, hi]."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
+    for _ in range(LINE_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
@@ -65,17 +70,14 @@ def _golden_max(f, lo, hi, iters=20):
 
 class GPRegressor(CoefficientRegressor):
     kind = "gpr"
-    hyper_parameters = ("c", "length", "jitter")
+    hyper_parameters = ("c", "length")
     fitted_arrays = ("inputs", "alpha", "y_mean", "y_std")
 
-    def __init__(self, restarts=10, jitter=1e-3, seed=0, sweeps=3, line_iters=20):
+    def __init__(self, restarts=10, seed=0):
         super().__init__(seed=seed)
         if restarts < 1:
             raise ValueError(f"gpr needs at least one restart, got {restarts}")
         self.restarts = int(restarts)
-        self.jitter = float(jitter)
-        self.sweeps = int(sweeps)
-        self.line_iters = int(line_iters)
         self.c = None
         self.length = None
         self.inputs = None
@@ -101,18 +103,14 @@ class GPRegressor(CoefficientRegressor):
         )
 
         def lml(log_c, log_l):
-            return log_marginal_likelihood(X, Yn, 10.0**log_c, 10.0**log_l, self.jitter)
+            return log_marginal_likelihood(X, Yn, 10.0**log_c, 10.0**log_l)
 
         best = (-np.inf, None)
         for log_c, log_l in starts:
             value = lml(log_c, log_l)
-            for _ in range(self.sweeps):
-                log_c, value = _golden_max(
-                    lambda t: lml(t, log_l), *log_c_box, iters=self.line_iters
-                )
-                log_l, value = _golden_max(
-                    lambda t: lml(log_c, t), *log_l_box, iters=self.line_iters
-                )
+            for _ in range(SWEEPS):
+                log_c, value = _golden_max(lambda t: lml(t, log_l), *log_c_box)
+                log_l, value = _golden_max(lambda t: lml(log_c, t), *log_l_box)
             if np.isfinite(value) and value > best[0]:
                 best = (value, (log_c, log_l))
         if best[1] is None:
@@ -121,7 +119,7 @@ class GPRegressor(CoefficientRegressor):
         self.c = float(10.0 ** best[1][0])
         self.length = float(10.0 ** best[1][1])
         self.inputs = np.ascontiguousarray(X)
-        K = rbf_kernel(X, X, self.c, self.length) + self.jitter * np.eye(X.shape[0])
+        K = rbf_kernel(X, X, self.c, self.length) + JITTER * np.eye(X.shape[0])
         self.alpha = np.ascontiguousarray(cho_solve(cho_factor(K, lower=True), Yn))
         self.n_outputs = Y.shape[1]
         return self

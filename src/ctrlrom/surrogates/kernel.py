@@ -6,16 +6,16 @@ center set.  Selection, power updates and the interpolant itself are all
 maintained in the Newton basis, the numerically stable incremental form:
 the raw kernel matrix of a flat Gaussian kernel is catastrophically
 ill-conditioned, while the Newton triangle has its selection-time power
-values on the diagonal, which the stopping tolerance keeps away from zero.
-With nonzero Tikhonov regularization the (well-conditioned) regularized
-system on the selected centers is solved by Cholesky instead.
+values on the diagonal, which the stopping tolerance ``P_GREEDY_TOL`` =
+1e-10 on the squared power function keeps away from zero.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
-from ..errors import KernelConditioningError
 from .base import CoefficientRegressor
+
+P_GREEDY_TOL = 1e-10  # selection stops once the squared power is below this everywhere
 
 
 def gaussian_kernel(x, y, beta):
@@ -28,16 +28,14 @@ def gaussian_kernel(x, y, beta):
 
 class KernelRegressor(CoefficientRegressor):
     kind = "kernel"
-    hyper_parameters = ("beta", "p_greedy_tol", "regularization")
+    hyper_parameters = ("beta",)
     fitted_arrays = ("centers", "newton_triangle", "coefficients")
 
-    def __init__(self, beta=1.0, p_greedy_tol=1e-10, regularization=0.0, seed=0):
+    def __init__(self, beta=1.0, seed=0):
         super().__init__(seed=seed)
         if beta <= 0:
             raise ValueError("kernel shape parameter must be positive")
         self.beta = float(beta)
-        self.p_greedy_tol = float(p_greedy_tol)
-        self.regularization = float(regularization)
         self.centers = None
         self.newton_triangle = None  # rows of the Newton basis at the centers
         self.coefficients = None
@@ -63,7 +61,7 @@ class KernelRegressor(CoefficientRegressor):
         selected = []
         while len(selected) < n:
             j = int(np.argmax(power))
-            if power[j] < self.p_greedy_tol:
+            if power[j] < P_GREEDY_TOL:
                 break
             col = gaussian_kernel(X, X[j : j + 1], self.beta)[:, 0]
             if selected:
@@ -79,20 +77,6 @@ class KernelRegressor(CoefficientRegressor):
         self.centers = np.ascontiguousarray(X[selected])
         self.newton_triangle = np.ascontiguousarray(newton[selected])
         self.coefficients = np.ascontiguousarray(coeffs)
-        if self.regularization > 0.0:
-            # regularized fit replaces pure interpolation on the centers
-            kmat = gaussian_kernel(self.centers, self.centers, self.beta)
-            kmat = kmat + self.regularization * np.eye(len(selected))
-            try:
-                factor = cho_factor(kmat)
-            except np.linalg.LinAlgError as exc:
-                raise KernelConditioningError(
-                    f"kernel matrix on {len(selected)} centers is not factorizable; "
-                    "increase the regularization or decrease beta"
-                ) from exc
-            direct = cho_solve(factor, Y[selected])
-            # convert to Newton coefficients: N(x) = k(x, centers) L^{-T}
-            self.coefficients = np.ascontiguousarray(self.newton_triangle.T @ direct)
         self.n_outputs = Y.shape[1]
         return self
 

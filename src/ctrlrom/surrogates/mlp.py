@@ -5,8 +5,11 @@ linear output layer.  Targets are affinely mapped per coefficient to [0, 1]
 over the training set before fitting, because the coefficients of a greedy
 basis decay strongly in magnitude and would otherwise be learned unevenly.
 Training minimizes the mean squared error by full-batch gradient descent
-with adaptive moment estimates, early-stopped on a held-out validation
-split; the best of several random restarts (by final training loss) wins.
+with adaptive moment estimates (base rate ``LEARNING_RATE`` = 0.01, halved
+every 1000 steps), early-stopped on a held-out share ``VAL_FRACTION`` = 0.1
+of the pairs once more than ``PATIENCE`` = 10 validation checks, one every
+``CHECK_EVERY`` = 25 steps, bring no new best; the best of several random
+restarts (by final training loss) wins.
 """
 
 import numpy as np
@@ -15,6 +18,10 @@ from ..errors import TrainingError
 from .base import CoefficientRegressor
 
 HIDDEN_LAYERS = (50, 50, 50)
+VAL_FRACTION = 0.1  # share of the training pairs held out for validation
+PATIENCE = 10  # stop after more checks than this without a new best
+LEARNING_RATE = 0.01  # base rate, halved every 1000 steps
+CHECK_EVERY = 25  # optimizer steps between validation checks
 
 
 def init_params(layer_sizes, rng):
@@ -65,34 +72,15 @@ class MLPRegressor(CoefficientRegressor):
     kind = "mlp"
     fitted_arrays = ("y_min", "y_span")
 
-    def __init__(
-        self,
-        seed=0,
-        restarts=10,
-        val_fraction=0.1,
-        patience=10,
-        max_steps=5000,
-        learning_rate=0.01,
-        check_every=25,
-    ):
+    def __init__(self, seed=0, restarts=10, max_steps=5000):
         super().__init__(seed=seed)
         if restarts < 1:
             raise ValueError(f"mlp needs at least one restart, got {restarts}")
-        if not 0.0 <= val_fraction < 1.0:
-            raise ValueError(f"mlp validation fraction must lie in [0, 1), got {val_fraction}")
         self.restarts = int(restarts)
-        self.val_fraction = float(val_fraction)
-        self.patience = int(patience)
         self.max_steps = int(max_steps)
-        self.learning_rate = float(learning_rate)
-        self.check_every = int(check_every)
         self.params = None
         self.y_min = None
         self.y_span = None
-
-    def _learning_rate(self, step):
-        # fixed schedule: halve the base rate every 1000 steps
-        return self.learning_rate * 0.5 ** (step // 1000)
 
     def _train_once(self, layer_sizes, X, Yn, train_idx, val_idx, rng):
         params = init_params(layer_sizes, rng)
@@ -107,7 +95,7 @@ class MLPRegressor(CoefficientRegressor):
         best_check = 0
         for step in range(1, self.max_steps + 1):
             grads = loss_gradients(params, Xt, Yt)
-            lr = self._learning_rate(step)
+            lr = LEARNING_RATE * 0.5 ** (step // 1000)
             for i, g in enumerate(grads):
                 m[i] = beta1 * m[i] + (1 - beta1) * g
                 v[i] = beta2 * v[i] + (1 - beta2) * g**2
@@ -116,7 +104,7 @@ class MLPRegressor(CoefficientRegressor):
                 params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
             # validation is polled on a coarser grid than the optimizer steps
             # so the patience window spans a meaningful stretch of training
-            if step % self.check_every == 0:
+            if step % CHECK_EVERY == 0:
                 checks += 1
                 val = mse_loss(params, Xv, Yv)
                 if not np.isfinite(val):
@@ -125,7 +113,7 @@ class MLPRegressor(CoefficientRegressor):
                     best_val = val
                     best_params = [p.copy() for p in params]
                     best_check = checks
-                elif checks - best_check > self.patience:
+                elif checks - best_check > PATIENCE:
                     break
         return best_params, mse_loss(best_params, Xt, Yt)
 
@@ -142,10 +130,10 @@ class MLPRegressor(CoefficientRegressor):
         scale = np.where(self.y_span > 0.0, self.y_span, 1.0)
         Yn = (Y - self.y_min) / scale
 
-        # validation split: last ceil(val_fraction * n) entries of a
+        # validation split: last ceil(VAL_FRACTION * n) entries of a
         # seed-shuffled ordering
         order = np.random.default_rng(self.seed).permutation(n)
-        n_val = max(1, int(np.ceil(self.val_fraction * n)))
+        n_val = max(1, int(np.ceil(VAL_FRACTION * n)))
         val_idx, train_idx = order[n - n_val :], order[: n - n_val]
 
         best = (np.inf, None)

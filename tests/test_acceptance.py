@@ -266,7 +266,7 @@ def test_criterion_9_property_suite():
     assert worst_grad <= 1e-5
 
     # kernel interpolation at the selected centers
-    model = KernelRegressor(beta=0.5, p_greedy_tol=1e-10).fit(data)
+    model = KernelRegressor(beta=0.5).fit(data)
     targets = {tuple(mu): y for mu, y in data.pairs}
     worst_interp = 0.0
     for center in model.centers:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ctrlrom import experiment
 from ctrlrom.cli import FLAGS, _resolve_config, build_parser, main
 from ctrlrom.errors import ConvergenceError, GreedyBudgetError
 from ctrlrom.experiment import (
@@ -42,7 +43,6 @@ def tiny_heat_config(outdir, **overrides):
     return ExperimentConfig(**base).validate()
 
 
-_ANY_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # one strategy per config field, drawing only configs that validate; tuples
 # are non-empty, since a flag with nargs="+" cannot spell an empty one
@@ -61,16 +61,11 @@ FIELD_STRATEGIES = dict(
     surrogate_kinds=st.lists(st.sampled_from(["kernel", "gpr", "mlp"]),
                              min_size=1, max_size=4).map(tuple),
     kernel_beta=_POSITIVE,
-    kernel_p_greedy_tol=_ANY_FLOAT,
-    kernel_regularization=_ANY_FLOAT,
     gpr_restarts=st.integers(min_value=1),
-    gpr_jitter=_ANY_FLOAT,
     mlp_restarts=st.integers(min_value=1),
-    mlp_val_fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-    mlp_patience=st.integers(),
-    surrogate_seed=st.integers(),
+    surrogate_seed=st.integers(min_value=0),
     test_count=st.integers(min_value=0),
-    test_seed=st.integers(),
+    test_seed=st.integers(min_value=0),
     workers=st.integers(),
     # INI values lose surrounding whitespace, and argparse before Python
     # 3.13 drops a flag value that is exactly "--" (``--output-dir=--``)
@@ -132,8 +127,8 @@ class TestConfigFile:
         dict(kernel_beta=0.0),
         dict(gpr_restarts=0),
         dict(mlp_restarts=0),
-        dict(mlp_val_fraction=1.0),
-        dict(mlp_val_fraction=-0.1),
+        dict(test_seed=-1),
+        dict(surrogate_seed=-1),
     ])
     def test_bad_surrogate_setting_rejected_before_any_stage(self, tmp_path, setting):
         with pytest.raises(ValueError):
@@ -317,6 +312,16 @@ class TestSvdDiagnostic:
         header = (tmp_path / "singular_values.csv").read_text().splitlines()[0]
         assert "nu=0" in header and "nu=20" in header
 
+    def test_bad_damping_rejected_before_any_solve(self, tmp_path, monkeypatch):
+        solves = []
+        monkeypatch.setattr(experiment, "solve_exact", lambda *a, **k: solves.append(a))
+        cfg = ExperimentConfig(family="wave", n_y=6, T=0.5, steps_per_point=4,
+                               train_grid=(4,), output_dir=str(tmp_path / "svd")).validate()
+        with pytest.raises(ValueError, match="damping constant must be non-negative, got -1"):
+            run_svd_diagnostic(cfg, damping_list=[0.0, 10.0, -1.0])
+        assert solves == []
+        assert not (tmp_path / "svd").exists()
+
 
 class TestCli:
     def test_full_run_exit_code_and_files(self, tmp_path):
@@ -392,3 +397,14 @@ class TestCli:
             "--output-dir", str(outdir),
         ]) == 0
         assert (outdir / "singular_values.csv").exists()
+
+    def test_svd_diag_rejects_bad_damping_before_any_solve(self, tmp_path, monkeypatch):
+        solves = []
+        monkeypatch.setattr(experiment, "solve_exact", lambda *a, **k: solves.append(a))
+        outdir = tmp_path / "svd"
+        with pytest.raises(SystemExit) as exit_:
+            main(["svd-diag", "--family", "wave", "--n-y", "6", "--train-grid", "4",
+                  "--damping", "0", "10", "-1", "--output-dir", str(outdir)])
+        assert exit_.value.code == 2
+        assert solves == []
+        assert not outdir.exists()

@@ -22,6 +22,7 @@ from ctrlrom.numerics import InnerProduct, gram_schmidt_extend
 from ctrlrom.system import (
     ParameterDomain,
     ProblemFamily,
+    ProblemInstance,
     build_heat_family,
     build_wave_family,
     sample_grid,
@@ -42,6 +43,42 @@ def small_train_set(counts=(4, 4)):
 def images(inst, basis):
     """Perturbed states (I + M Gramian) phi_i as the columns of an array."""
     return np.column_stack([apply_system_operator(inst, phi) for phi in basis.vectors])
+
+
+def initial_state_family():
+    """Heat family on a 12-point grid with one system operator (conductivity
+    1.5) whose initial state scales with mu_1 and target slope is mu_2."""
+    heat = build_heat_family(n_y=12)
+
+    def builder(mu):
+        base = heat.builder(np.array([1.5, mu[1]]))
+        return ProblemInstance(A=base.A, B=base.B, x0=mu[0] * base.x0, xT=base.xT, M=base.M,
+                               R=base.R, ip=base.ip, grid=base.grid)
+
+    return ProblemFamily(name="initial-state", domain=heat.domain, builder=builder)
+
+
+def calls_outside_exact_solves(monkeypatch, name, counted=lambda *args, **kwargs: True):
+    """Patch ``dynamics.<name>`` to record the parameter of every call that
+    ``counted`` accepts, except those made inside the greedy's exact solves."""
+    calls, solving = [], []
+    fn, solve = getattr(dynamics, name), greedy_rom.solve_exact
+
+    def recorded(inst, *args, **kwargs):
+        if not solving and counted(*args, **kwargs):
+            calls.append(inst.parameter)
+        return fn(inst, *args, **kwargs)
+
+    def recorded_solve(*args, **kwargs):
+        solving.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(dynamics, name, recorded)
+    monkeypatch.setattr(greedy_rom, "solve_exact", recorded_solve)
+    return calls
 
 
 def constant_family():
@@ -213,31 +250,31 @@ class TestOperatorGroups:
         # one of them 3 times, not once per training parameter (12)
         fam = build_heat_family(n_y=12)
         train = sample_grid(fam.domain, [3, 4])
-        images, solving = [], []
-        apply, solve = dynamics.apply_system_operator, greedy_rom.solve_exact
-
-        def counted_apply(inst, p):
-            if not solving:  # the exact solve's CG applies are not images
-                images.append(inst.parameter)
-            return apply(inst, p)
-
-        def counted_solve(*args, **kwargs):
-            solving.append(True)
-            try:
-                return solve(*args, **kwargs)
-            finally:
-                solving.pop()
-
-        monkeypatch.setattr(dynamics, "apply_system_operator", counted_apply)
-        monkeypatch.setattr(greedy_rom, "solve_exact", counted_solve)
+        # the exact solve's CG applies are not images
+        images = calls_outside_exact_solves(monkeypatch, "apply_system_operator")
         basis, _ = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-12)
         assert basis.size >= 2
         assert len(images) == 3 * basis.size
 
+    @pytest.mark.parametrize("family, expected", [
+        (build_heat_family(n_y=12), 3),  # 3 operators, one x0
+        (initial_state_family(), 3),  # one operator, 3 initial states
+    ], ids=["heat", "initial-state"])
+    def test_one_free_sweep_per_operator_and_initial_state(self, monkeypatch, family, expected):
+        # the right-hand sides of a 3 x 4 grid need the uncontrolled final
+        # state once per operator and x0, not once per parameter (12)
+        free = calls_outside_exact_solves(monkeypatch, "solve_state_forward",
+                                          lambda x_init, u=None: u is None)
+        basis, _ = greedy_offline(family, sample_grid(family.domain, [3, 4]), tol=1e-5,
+                                  cg_tol=1e-12)
+        assert basis.size >= 2
+        assert len(free) == expected
+
     @pytest.mark.parametrize("family, counts, tol, cg_tol", [
         (build_heat_family(n_y=12), [3, 4], 1e-5, 1e-12),
         (build_wave_family(n_y=8), [5], 1e-2, 1e-9),
-    ], ids=["heat", "wave"])
+        (initial_state_family(), [3, 4], 1e-5, 1e-12),
+    ], ids=["heat", "wave", "initial-state"])
     def test_training_coefficients_equal_projection_bitwise(self, family, counts, tol, cg_tol):
         basis, data = greedy_offline(family, sample_grid(family.domain, counts),
                                      tol=tol, cg_tol=cg_tol)

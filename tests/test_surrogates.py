@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from ctrlrom import persist
 from ctrlrom.experiment import surrogate_path
 from ctrlrom.greedy_rom import TrainingData, greedy_offline, rom_online
 from ctrlrom.surrogates import (
@@ -16,6 +17,7 @@ from ctrlrom.surrogates import (
 )
 from ctrlrom.surrogates.base import CoefficientRegressor
 from ctrlrom.surrogates.gpr import log_marginal_likelihood
+from ctrlrom.surrogates.kernel import P_GREEDY_TOL
 from ctrlrom.surrogates.mlp import forward, init_params, loss_gradients, mse_loss
 from ctrlrom.system import build_heat_family, sample_grid
 
@@ -86,10 +88,9 @@ class TestKernelRegressor:
 
     def test_power_function_below_tolerance_elsewhere(self):
         data = make_training_data(n=25, seed=3)
-        tol = 1e-8
-        model = KernelRegressor(beta=1.0, p_greedy_tol=tol).fit(data)
+        model = KernelRegressor(beta=1.0).fit(data)
         values = model.power_function(data.inputs())
-        assert np.max(values) <= tol
+        assert np.max(values) <= P_GREEDY_TOL
 
     def test_save_load_round_trip(self, tmp_path):
         data = make_training_data(n=10, seed=4)
@@ -121,12 +122,12 @@ class TestGPRegressor:
         model = GPRegressor(restarts=5, seed=0).fit(data)
         Y = data.targets()
         Yn = (Y - Y.mean(axis=0)) / np.where(Y.std(axis=0) > 0, Y.std(axis=0), 1.0)
-        best = log_marginal_likelihood(data.inputs(), Yn, model.c, model.length, model.jitter)
+        best = log_marginal_likelihood(data.inputs(), Yn, model.c, model.length)
         rng = np.random.default_rng(123)
         for _ in range(20):
             c = 10.0 ** rng.uniform(-1, 3)
             length = 10.0 ** rng.uniform(-3, 3)
-            probe = log_marginal_likelihood(data.inputs(), Yn, c, length, model.jitter)
+            probe = log_marginal_likelihood(data.inputs(), Yn, c, length)
             assert best >= probe - 1e-9
 
     def test_needs_two_pairs(self):
@@ -214,6 +215,24 @@ def saved_models(tmp_path_factory):
         paths[kind] = surrogate_path(outdir, kind)
         model.fit(data).save(paths[kind])
     return paths
+
+
+class TestOlderModelFiles:
+    """Files written while the removed settings were still saved in the meta."""
+
+    @pytest.mark.parametrize("kind, removed", [
+        ("kernel", dict(p_greedy_tol=1e-10, regularization=0.0)),
+        ("gpr", dict(jitter=1e-3)),
+    ])
+    def test_load_and_predict_bit_identically(self, saved_models, tmp_path, kind, removed):
+        model = load_model(saved_models[kind])
+        _, meta, arrays = persist.read(saved_models[kind], kind)
+        assert not set(removed) & set(meta)
+        older = tmp_path / f"older_{kind}.bin"
+        persist.write(older, kind, {**meta, **removed}, arrays)
+        loaded = load_model(older)
+        for probe in ([0.37, 0.61], [0.0, 1.0], [0.9, 0.05]):
+            assert np.array_equal(loaded.predict(probe), model.predict(probe))
 
 
 class TestCorruptModelFiles:
