@@ -9,10 +9,9 @@ Subcommands are the pipeline stages:
     svd-diag          singular values of the exact adjoints (damping sweep)
 
 Every field of ``ExperimentConfig`` is a flag, ``--key-with-dashes`` unless
-``_SPELLINGS`` names another spelling; a boolean also has its ``--no-``
-form.  Flags override the config file, which overrides the per-family
-defaults.  The exit code is zero only if all invariant checks of the run
-pass.
+``_SPELLINGS`` names another spelling.  Flags override the config file,
+which overrides the per-family defaults.  The exit code is zero only if all
+invariant checks of the run pass.
 """
 
 import argparse
@@ -22,7 +21,7 @@ from pathlib import Path
 
 from . import experiment, greedy_rom, surrogates
 
-_SPELLINGS = {"T": "--final-time", "surrogate_kinds": "--surrogates", "time_runs": "--timing"}
+_SPELLINGS = {"T": "--final-time", "surrogate_kinds": "--surrogates"}
 FLAGS = {f.name: _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
          for f in fields(experiment.ExperimentConfig)}
 
@@ -30,9 +29,7 @@ FLAGS = {f.name: _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
 def _add_config_flags(parser):
     parser.add_argument("--config", help="config file (INI)")
     for f in fields(experiment.ExperimentConfig):
-        if isinstance(f.default, bool):
-            kind = dict(action=argparse.BooleanOptionalAction)
-        elif isinstance(f.default, tuple):
+        if isinstance(f.default, tuple):
             kind = dict(type=type(f.default[0]), nargs="+")
         else:
             kind = dict(type=type(f.default))
@@ -47,9 +44,13 @@ def _resolve_config(args):
     overrides = {name: tuple(value) if isinstance(value, list) else value
                  for name in FLAGS if (value := getattr(args, name)) is not None}
     cfg = replace(cfg, **overrides).validate()
-    if cfg.family == "wave":  # svd-diag's damping sweep, checked before any solve
-        for nu in getattr(args, "damping", None) or ():
-            replace(cfg, nu=nu).validate()
+    # svd-diag's damping sweep, checked before any solve
+    damping = getattr(args, "damping", None) or ()
+    if damping and cfg.family != "wave":
+        raise ValueError(f"--damping sweeps the wave family's damping constant, "
+                         f"family {cfg.family} has none")
+    for nu in damping:
+        replace(cfg, nu=nu).validate()
     return cfg
 
 
@@ -106,13 +107,12 @@ def _cmd_full_run(cfg, args):
 
 
 def _cmd_svd_diag(cfg, args):
-    damping = args.damping if cfg.family == "wave" else None
-    spectra = experiment.run_svd_diagnostic(cfg, damping_list=damping)
+    spectra = experiment.run_svd_diagnostic(cfg, damping_list=args.damping)
     for key, sigma in spectra.items():
         label = "heat" if key is None else f"nu={key:g}"
-        decay = sigma[min(len(sigma), 8) - 1] / sigma[0]
+        k = min(len(sigma), 8)
         print(f"{label}: {len(sigma)} singular values, sigma_1={sigma[0]:.3e}, "
-              f"sigma_8/sigma_1={decay:.3e}")
+              f"sigma_{k}/sigma_1={sigma[k - 1] / sigma[0]:.3e}")
     print(f"singular values written to {Path(cfg.output_dir) / experiment.SINGULAR_VALUES_FILE}")
     return 0
 

@@ -12,6 +12,7 @@ own files into ``config.output_dir`` and returns its result;
 """
 
 import configparser
+import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -45,37 +46,40 @@ _FAMILY_DEFAULTS = {
 }
 
 
+def _key(section, default):
+    """A config field stored under ``[section]`` of the INI file."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class ExperimentConfig:
     """All settings of one experiment run; see the README.
 
-    Each field is one INI key (its section is in ``_SECTIONS``) and one
+    Each field is one INI key, in the section its ``metadata["section"]``
+    names (sections and keys are written in field order), and one
     command-line flag (``cli.FLAGS``); a ``<kind>_*`` field is the
     constructor argument ``*`` of the surrogate of that kind.
     """
 
-    family: str = "heat"
-    n_y: int = 100
-    T: float = 0.1
-    steps_per_point: int = 30
-    nu: float = 10.0
-    train_grid: tuple = (8, 8)
-    tolerance: float = 1e-6
-    max_basis: int = 50
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 0  # 0 = solver default (10 * state dimension)
-    track_true_errors: bool = False
-    surrogate_kinds: tuple = ("kernel", "gpr", "mlp")
-    kernel_beta: float = 0.5
-    gpr_restarts: int = 10
-    mlp_restarts: int = 10
-    surrogate_seed: int = 0
-    test_count: int = 100
-    test_seed: int = 2024
-    workers: int = 1
-    output_dir: str = "results"
-    certify: bool = True
-    time_runs: bool = True
+    family: str = _key("family", "heat")
+    n_y: int = _key("family", 100)
+    T: float = _key("family", 0.1)
+    steps_per_point: int = _key("family", 30)
+    nu: float = _key("family", 10.0)
+    train_grid: tuple = _key("training", (8, 8))
+    tolerance: float = _key("greedy", 1e-6)
+    max_basis: int = _key("greedy", 50)
+    cg_tol: float = _key("greedy", 1e-12)
+    cg_max_iter: int = _key("greedy", 0)  # 0 = solver default (10 * state dimension)
+    surrogate_kinds: tuple = _key("surrogates", ("kernel", "gpr", "mlp"))
+    kernel_beta: float = _key("surrogates", 0.5)
+    gpr_restarts: int = _key("surrogates", 10)
+    mlp_restarts: int = _key("surrogates", 10)
+    surrogate_seed: int = _key("surrogates", 0)
+    test_count: int = _key("test", 100)
+    test_seed: int = _key("test", 2024)
+    workers: int = _key("test", 1)
+    output_dir: str = _key("output", "results")
 
     def validate(self):
         for f in fields(self):
@@ -86,15 +90,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown family '{self.family}'")
         if self.n_y < 2 or self.steps_per_point < 1:
             raise ValueError("n_y >= 2 and steps_per_point >= 1 required")
-        if not (self.tolerance > 0 and self.cg_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_basis < 1 or self.test_count < 0:
-            raise ValueError("max_basis >= 1 and test_count >= 0 required")
+        for name in ("T", "tolerance", "cg_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.max_basis < 1 or self.test_count < 0 or self.workers < 1:
+            raise ValueError("max_basis >= 1, test_count >= 0 and workers >= 1 required")
         if self.cg_max_iter < 0:
             raise ValueError("cg_max_iter >= 0 required (0 = solver default)")
         if self.test_seed < 0 or self.surrogate_seed < 0:
             raise ValueError("test_seed >= 0 and surrogate_seed >= 0 required")
-        # rejects a grid that does not fit the family, or T <= 0, nu < 0
+        # rejects a grid that does not fit the family, or a negative or NaN nu
         training_parameters(self, build_family(self))
         for kind in self.surrogate_kinds:
             _regressor(self, kind)  # rejects an unknown kind or a bad setting
@@ -109,33 +115,15 @@ def default_config(family):
     return replace(cfg, **_FAMILY_DEFAULTS[family]).validate()
 
 
-_SECTIONS = {
-    "family": ("family", "n_y", "T", "steps_per_point", "nu"),
-    "training": ("train_grid",),
-    "greedy": ("tolerance", "max_basis", "cg_tol", "cg_max_iter", "track_true_errors"),
-    "surrogates": (
-        "surrogate_kinds", "kernel_beta", "gpr_restarts", "mlp_restarts", "surrogate_seed",
-    ),
-    "test": ("test_count", "test_seed", "workers"),
-    "output": ("output_dir", "certify", "time_runs"),
-}
-
-
 def _format_value(value):
     if isinstance(value, (tuple, list)):
         return " ".join(_format_value(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def _parse_value(text, template):
-    if isinstance(template, bool):
-        if text.lower() not in ("true", "false"):
-            raise ValueError(f"expected true/false, got {text!r}")
-        return text.lower() == "true"
     if isinstance(template, (tuple, list)):
         inner = template[0] if len(template) else "x"
         return tuple(_parse_value(tok, inner) for tok in text.split())
@@ -149,8 +137,11 @@ def _parse_value(text, template):
 def save_config(config, path):
     """Write a config as a flat key/value file with sections."""
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in _SECTIONS.items():
-        parser[section] = {key: _format_value(getattr(config, key)) for key in keys}
+    for f in fields(config):
+        section = f.metadata["section"]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, f.name, _format_value(getattr(config, f.name)))
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 
@@ -167,13 +158,15 @@ def load_config(path):
         raise FileNotFoundError(path)
     family = parser.get("family", "family", fallback="heat")
     defaults = default_config(family)
+    keys = {(f.metadata["section"], parser.optionxform(f.name)): f.name
+            for f in fields(ExperimentConfig)}
     values = {}
     for section in parser.sections():
-        known = {parser.optionxform(key): key for key in _SECTIONS.get(section, ())}
         for option, text in parser[section].items():
-            if option not in known:
+            if (section, option) not in keys:
                 raise ValueError(f"{path}: unknown key '{option}' in section [{section}]")
-            values[known[option]] = _parse_value(text, getattr(defaults, known[option]))
+            name = keys[section, option]
+            values[name] = _parse_value(text, getattr(defaults, name))
     return replace(defaults, **values).validate()
 
 
@@ -214,7 +207,7 @@ class ModelResult:
     """Errors and runtime of one model at one test parameter."""
 
     true_adjoint_error: float
-    estimated_error: float | None
+    estimated_error: float
     control_error: float
     runtime: float
 
@@ -316,13 +309,13 @@ def _evaluate_test_parameter(config, family, basis, models, index, mu):
     results = {}
 
     t0 = time.perf_counter()
-    reduced = greedy_rom.rom_online(inst, basis, certify=config.certify)
+    reduced = greedy_rom.rom_online(inst, basis)
     rom_runtime = time.perf_counter() - t0
     results["g-rom"] = _model_result(inst, exact, reduced, rom_runtime)
 
     for kind, model in models.items():
         t0 = time.perf_counter()
-        sol = surrogates.surrogate_online(inst, basis, model, certify=config.certify)
+        sol = surrogates.surrogate_online(inst, basis, model)
         runtime = time.perf_counter() - t0
         results[kind] = _model_result(inst, exact, sol, runtime)
 
@@ -356,15 +349,13 @@ def _check_invariants(report):
     slack = 1.0 + 1e-6
     for row in report.rows:
         for name, res in row.results.items():
-            if res.estimated_error is None:
-                continue
             if res.true_adjoint_error > res.estimated_error * slack:
                 report.invariant_violations.append(
                     f"row {row.index} model {name}: true error "
                     f"{res.true_adjoint_error:.3e} exceeds estimate "
                     f"{res.estimated_error:.3e}"
                 )
-    if report.rows and report.config.time_runs and report.config.n_y >= 50:
+    if report.rows and report.config.n_y >= 50:
         summaries = {s.name: s for s in report.summaries()}
         grom_t = summaries["g-rom"].avg_runtime
         if grom_t >= report.exact_avg_runtime:
@@ -402,11 +393,13 @@ def offline_stage(config):
         max_basis=config.max_basis,
         cg_tol=config.cg_tol,
         cg_max_iter=_cg_max_iter(config),
-        track_true_errors=config.track_true_errors,
     )
     greedy_rom.save_basis(basis, outdir / BASIS_FILE)
     greedy_rom.save_training_data(training_data, outdir / TRAINING_FILE)
-    write_greedy_history(basis.history, outdir / "greedy_results.csv")
+    _write_csv(outdir / "greedy_results.csv",
+               ["iteration", "basis_size", "estimated_max_error", "true_error_at_selected"],
+               ([i, step.basis_size, step.estimated_max_error, step.true_error_at_selected]
+                for i, step in enumerate(basis.history)))
     return basis, training_data
 
 
@@ -477,7 +470,11 @@ def run_svd_diagnostic(config, damping_list=None):
     else:
         configs = {None: config.validate()}
     spectra = {key: _training_set_singular_values(cfg) for key, cfg in configs.items()}
-    _write_singular_values_csv(spectra, _output_dir(config) / SINGULAR_VALUES_FILE)
+    labels = ["heat" if key is None else f"nu={key:g}" for key in spectra]
+    _write_csv(_output_dir(config) / SINGULAR_VALUES_FILE,
+               ["mode", *(f"sigma[{label}]" for label in labels)],
+               ([i + 1, *(s[i] if i < len(s) else None for s in spectra.values())]
+                for i in range(max(map(len, spectra.values())))))
     return spectra
 
 
@@ -493,66 +490,34 @@ def _training_set_singular_values(config):
     return svd_singular_values(columns, ip)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    return repr(float(value))
+def _write_csv(path, header, rows):
+    """Write a CSV file: a float cell as ``repr(float(v))``, ``None`` as an
+    empty cell, anything else with ``str``."""
+    def cell(value):
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
 
-
-def _write_singular_values_csv(spectra, path):
-    keys = list(spectra)
-    labels = ["heat" if k is None else f"nu={k:g}" for k in keys]
-    depth = max(len(s) for s in spectra.values())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("mode," + ",".join(f"sigma[{lab}]" for lab in labels) + "\n")
-        for i in range(depth):
-            row = [str(i + 1)]
-            for k in keys:
-                s = spectra[k]
-                row.append(_fmt(s[i]) if i < len(s) else "")
-            fh.write(",".join(row) + "\n")
-
-
-def write_greedy_history(history, path):
-    """Write the greedy history as ``greedy_results.csv``, one row per step."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,basis_size,estimated_max_error,true_error_at_selected\n")
-        for i, step in enumerate(history):
-            fh.write(
-                f"{i},{step.basis_size},{_fmt(step.estimated_max_error)},"
-                f"{_fmt(step.true_error_at_selected)}\n"
-            )
+        for row in [header, *rows]:
+            fh.write(",".join(map(cell, row)) + "\n")
 
 
 def emit_reports(report, outdir):
     """Write the per-parameter error and timing CSVs into ``outdir``."""
     p = len(report.rows[0].parameter) if report.rows else 0
-    param_cols = [f"mu_{i}" for i in range(p)]
-    with open(outdir / "analysis_results_errors.csv", "w", encoding="utf-8") as fh:
-        cols = ["test_index", *param_cols]
+    header = ["test_index", *(f"mu_{i}" for i in range(p))]
+    for name in report.model_names:
+        header += [f"{name}_true_adjoint_error", f"{name}_estimated_error",
+                   f"{name}_control_error"]
+    rows = []
+    for row in report.rows:
+        cells = [row.index, *row.parameter]
         for name in report.model_names:
-            cols += [
-                f"{name}_true_adjoint_error",
-                f"{name}_estimated_error",
-                f"{name}_control_error",
-            ]
-        fh.write(",".join(cols) + "\n")
-        for row in report.rows:
-            out = [str(row.index)] + [_fmt(v) for v in row.parameter]
-            for name in report.model_names:
-                res = row.results[name]
-                out += [
-                    _fmt(res.true_adjoint_error),
-                    _fmt(res.estimated_error),
-                    _fmt(res.control_error),
-                ]
-            fh.write(",".join(out) + "\n")
-
-    if report.config.time_runs:
-        with open(outdir / "timings.csv", "w", encoding="utf-8") as fh:
-            fh.write("model,avg_runtime_seconds,avg_speedup_vs_exact\n")
-            fh.write(f"exact,{_fmt(report.exact_avg_runtime)},\n")
-            for summary in report.summaries():
-                fh.write(
-                    f"{summary.name},{_fmt(summary.avg_runtime)},{_fmt(summary.avg_speedup)}\n"
-                )
+            res = row.results[name]
+            cells += [res.true_adjoint_error, res.estimated_error, res.control_error]
+        rows.append(cells)
+    _write_csv(outdir / "analysis_results_errors.csv", header, rows)
+    _write_csv(outdir / "timings.csv", ["model", "avg_runtime_seconds", "avg_speedup_vs_exact"],
+               [["exact", report.exact_avg_runtime, None],
+                *([s.name, s.avg_runtime, s.avg_speedup] for s in report.summaries())])

@@ -57,10 +57,6 @@ class ReducedBasis:
     def size(self):
         return len(self.vectors)
 
-    @property
-    def dim(self):
-        return self.vectors[0].shape[0] if self.vectors else 0
-
     def matrix(self):
         """Basis vectors as the columns of an (n, N) array."""
         return np.column_stack(self.vectors) if self.vectors else np.zeros((0, 0))
@@ -161,7 +157,6 @@ def greedy_offline(
     max_basis=50,
     cg_tol=1e-12,
     cg_max_iter=None,
-    track_true_errors=False,
     drop_tol=1e-10,
 ):
     """Offline weak-greedy loop over a finite training set.
@@ -180,7 +175,9 @@ def greedy_offline(
     set (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  The
     right-hand sides take one uncontrolled sweep per distinct operator and x0.
 
-    Returns the reduced basis and the final coefficients of every training
+    Each history row of a selection also records the true error of the
+    selected parameter before its snapshot joins the basis.  Returns the
+    reduced basis and the final coefficients of every training
     parameter.  Ties in the argmax resolve to the smallest training index.
     """
     if not train_set:
@@ -243,13 +240,11 @@ def greedy_offline(
             )
 
         exact = solve_exact(instances[j], cg_tol=cg_tol, max_iter=cg_max_iter)
-        true_err = None
-        if track_true_errors:
-            if vectors:
-                approx = np.column_stack(vectors) @ coeffs[j]
-            else:
-                approx = np.zeros(instances[j].n)
-            true_err = ip.norm(exact.phiT - approx)
+        if vectors:
+            approx = np.column_stack(vectors) @ coeffs[j]
+        else:
+            approx = np.zeros(instances[j].n)
+        true_err = ip.norm(exact.phiT - approx)
         new_vec = gram_schmidt_extend(vectors, exact.phiT, ip, drop_tol=drop_tol)
         if new_vec is None:
             log.warning(

@@ -43,12 +43,12 @@ class InnerProduct:
 _TOL_MARGIN = 1e-3
 
 
-def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, x0=None):
+def cg_solve(apply, b, ip, tol=1e-12, max_iter=None):
     """Conjugate gradients for a self-adjoint positive-definite operator.
 
     ``apply`` maps a vector to a vector and must be linear, self-adjoint and
-    positive-definite with respect to ``ip``.  Iterates until the residual
-    norm (in ``ip``) drops to ``tol * (1 - _TOL_MARGIN)``; returns
+    positive-definite with respect to ``ip``.  Iterates from zero until the
+    residual norm (in ``ip``) drops to ``tol * (1 - _TOL_MARGIN)``; returns
     ``(x, n_iter, residual_norm)``.
 
     The recurrence residual drifts away from the true residual near the
@@ -70,12 +70,11 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, x0=None):
         raise ValueError("cg tolerance must be positive")
 
     target = tol * (1.0 - _TOL_MARGIN)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(n)
     best_x, best_res = x.copy(), np.inf
     iters = 0
-    zero_start = x0 is None
     while True:
-        r = b.copy() if zero_start and iters == 0 else b - apply(x)
+        r = b.copy() if iters == 0 else b - apply(x)
         res_norm = ip.norm(r)
         if res_norm < best_res:
             best_x, best_res = x.copy(), res_norm

@@ -87,11 +87,6 @@ class AuditReport:
     def max_coefficient_error(self):
         return max(r.coefficient_error for r in self.rows)
 
-    @property
-    def max_true_error(self):
-        vals = [r.true_error for r in self.rows if r.true_error is not None]
-        return max(vals) if vals else None
-
     def greedy_residuals_within_tolerance(self):
         """Whether every projected adjoint meets the offline stopping tolerance."""
         return all(r.greedy_residual <= self.eps_tilde for r in self.rows)

@@ -33,7 +33,7 @@ class KernelRegressor(CoefficientRegressor):
 
     def __init__(self, beta=1.0, seed=0):
         super().__init__(seed=seed)
-        if beta <= 0:
+        if not beta > 0:
             raise ValueError("kernel shape parameter must be positive")
         self.beta = float(beta)
         self.centers = None

@@ -196,7 +196,7 @@ def build_wave_family(n_y=100, T=1.0, steps_per_point=10, nu=10.0):
     """
     if n_y < 2:
         raise ValueError("need at least two inner grid points")
-    if nu < 0:
+    if not nu >= 0:
         raise ValueError(f"damping constant must be non-negative, got {nu}")
     h = 1.0 / (n_y + 1)
     n = 2 * n_y

@@ -57,7 +57,6 @@ FIELD_STRATEGIES = dict(
     max_basis=st.integers(min_value=1),
     cg_tol=_POSITIVE,
     cg_max_iter=st.integers(min_value=0),
-    track_true_errors=st.booleans(),
     surrogate_kinds=st.lists(st.sampled_from(["kernel", "gpr", "mlp"]),
                              min_size=1, max_size=4).map(tuple),
     kernel_beta=_POSITIVE,
@@ -66,13 +65,11 @@ FIELD_STRATEGIES = dict(
     surrogate_seed=st.integers(min_value=0),
     test_count=st.integers(min_value=0),
     test_seed=st.integers(min_value=0),
-    workers=st.integers(),
+    workers=st.integers(min_value=1),
     # INI values lose surrounding whitespace, and argparse before Python
     # 3.13 drops a flag value that is exactly "--" (``--output-dir=--``)
     output_dir=st.text(alphabet="ab/_-.%;#=:[] é", max_size=12).filter(
         lambda s: s == s.strip() and s != "--"),
-    certify=st.booleans(),
-    time_runs=st.booleans(),
 )
 # the training grid needs one count per parameter axis of the family
 VALID_CONFIGS = st.builds(ExperimentConfig, **FIELD_STRATEGIES).filter(
@@ -84,9 +81,7 @@ def config_flags(config):
     argv = []
     for name, flag in FLAGS.items():
         value = getattr(config, name)
-        if isinstance(value, bool):
-            argv.append(flag if value else "--no-" + flag[2:])
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             argv += [flag, *map(str, value)]
         else:
             argv.append(f"{flag}={value}")
@@ -110,12 +105,10 @@ class TestConfigFile:
     def test_flag_spellings(self):
         args = build_parser().parse_args([
             "online", "--final-time", "0.5", "--surrogates", "gpr", "kernel",
-            "--no-certify", "--no-timing", "--track-true-errors",
         ])
         cfg = _resolve_config(args)
         assert cfg.T == 0.5
         assert cfg.surrogate_kinds == ("gpr", "kernel")
-        assert (cfg.certify, cfg.time_runs, cfg.track_true_errors) == (False, False, True)
 
     def test_readme_sample_is_the_heat_default(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -129,6 +122,9 @@ class TestConfigFile:
         dict(mlp_restarts=0),
         dict(test_seed=-1),
         dict(surrogate_seed=-1),
+        dict(kernel_beta=float("nan")),
+        dict(workers=0),
+        dict(workers=-3),
     ])
     def test_bad_surrogate_setting_rejected_before_any_stage(self, tmp_path, setting):
         with pytest.raises(ValueError):
@@ -143,6 +139,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("setting, flags, message", [
         (dict(train_grid=(8,)), ["--train-grid", "8"], "one count per parameter axis"),
         (dict(cg_max_iter=-1), ["--cg-max-iter=-1"], "cg_max_iter"),
+        (dict(tolerance=float("inf")), ["--tolerance=inf"], "tolerance"),
+        (dict(T=float("inf")), ["--final-time=inf"], "T must be"),
+        (dict(family="wave", train_grid=(4,), nu=float("nan")),
+         ["--family", "wave", "--train-grid", "4", "--nu=nan"], "damping constant"),
     ])
     def test_bad_greedy_setting_rejected_before_any_stage(self, tmp_path, setting, flags,
                                                           message):
@@ -192,6 +192,8 @@ class TestConfigFile:
         "[greedy]\ntolerence = 1e-3\n",
         "[bogus]\ntolerance = 1e-3\n",
         "[test]\ntolerance = 1e-3\n",
+        "[output]\ncertify = true\n",
+        "[greedy]\ntrack_true_errors = false\n",
     ])
     def test_unknown_section_or_key_rejected(self, tmp_path, text):
         path = tmp_path / "typo.ini"
@@ -275,6 +277,10 @@ class TestRunExperiment:
         assert len(lines) == 1  # headers only
         greedy_lines = (tmp_path / "greedy_results.csv").read_text().strip().splitlines()
         assert len(greedy_lines) == 1 + len(report.greedy_history)
+        # every selection row carries the true error; the stopping row has none
+        true_errors = [line.split(",")[3] for line in greedy_lines[1:]]
+        assert len(true_errors) > 1
+        assert all(true_errors[:-1]) and true_errors[-1] == ""
 
     def test_failure_leaves_marker(self, tmp_path):
         cfg = tiny_heat_config(tmp_path, max_basis=1, tolerance=1e-14)
@@ -397,6 +403,24 @@ class TestCli:
             "--output-dir", str(outdir),
         ]) == 0
         assert (outdir / "singular_values.csv").exists()
+
+    def test_svd_diag_labels_decay_by_the_index_it_uses(self, tmp_path, capsys):
+        assert main(["svd-diag", "--family", "heat", "--n-y", "6", "--train-grid", "2", "2",
+                     "--output-dir", str(tmp_path / "svd")]) == 0
+        out = capsys.readouterr().out
+        assert "heat: 4 singular values" in out  # 2 x 2 snapshots
+        assert "sigma_4/sigma_1=" in out and "sigma_8" not in out
+
+    def test_svd_diag_rejects_damping_for_heat(self, tmp_path, monkeypatch):
+        solves = []
+        monkeypatch.setattr(experiment, "solve_exact", lambda *a, **k: solves.append(a))
+        outdir = tmp_path / "svd"
+        with pytest.raises(SystemExit) as exit_:
+            main(["svd-diag", "--family", "heat", "--n-y", "6", "--train-grid", "2", "2",
+                  "--damping", "-1", "--output-dir", str(outdir)])
+        assert exit_.value.code == 2
+        assert solves == []
+        assert not outdir.exists()
 
     def test_svd_diag_rejects_bad_damping_before_any_solve(self, tmp_path, monkeypatch):
         solves = []

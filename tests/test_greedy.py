@@ -201,8 +201,7 @@ class TestGreedyOffline:
 
     def test_true_error_tracking(self):
         fam, train = small_train_set((3, 3))
-        basis, _ = greedy_offline(fam, train, tol=1e-4, cg_tol=1e-13,
-                                  track_true_errors=True)
+        basis, _ = greedy_offline(fam, train, tol=1e-4, cg_tol=1e-13)
         tracked = [s.true_error_at_selected for s in basis.history if s.selected_param is not None]
         assert all(t is not None for t in tracked)
         # estimator reliability: estimated max dominates the true error there
