@@ -13,7 +13,6 @@ from .system import (
     sample_random,
 )
 from .dynamics import (
-    Trajectory,
     apply_gramian,
     apply_system_operator,
     control_norm_dt,
@@ -35,6 +34,6 @@ from .greedy_rom import (
     save_basis,
     save_training_data,
 )
-from .surrogates import make_regressor, ml_error_bound_audit, surrogate_online
+from .surrogates import make_regressor, surrogate_online
 
 __version__ = "0.1.0"

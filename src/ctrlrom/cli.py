@@ -45,12 +45,7 @@ def _resolve_config(args):
                  for name in FLAGS if (value := getattr(args, name)) is not None}
     cfg = replace(cfg, **overrides).validate()
     # svd-diag's damping sweep, checked before any solve
-    damping = getattr(args, "damping", None) or ()
-    if damping and cfg.family != "wave":
-        raise ValueError(f"--damping sweeps the wave family's damping constant, "
-                         f"family {cfg.family} has none")
-    for nu in damping:
-        replace(cfg, nu=nu).validate()
+    experiment.damping_configs(cfg, getattr(args, "damping", None))
     return cfg
 
 

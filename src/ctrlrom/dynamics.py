@@ -9,7 +9,9 @@ gradients can be applied to the final-time adjoint system.
 
 Each sweep takes a vector (n,) or a block (n, k) and returns only what its
 callers use: the backward sweep the induced control, the forward sweep the
-final state.  Both step through the grid in chunks of ``_CHUNK`` steps and
+final state.  A control is the array of its values at the nodes
+``inst.grid.nodes()``, of shape (n_t + 1, m), or (n_t + 1, m, k) for a
+block.  Both sweeps step through the grid in chunks of ``_CHUNK`` steps and
 keep no trajectory, so they work in O(_CHUNK * n * k + n_t * m * k) floats.
 A step multiplies the k vectors one by one inside one numpy call, which
 keeps each block column bit-identical to the single-vector result: the
@@ -18,29 +20,12 @@ change with the grouping of the vectors.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import trapezoid_quad
 
 _CHUNK = 128  # steps whose controls or input terms form one matrix product
-
-
-@dataclass
-class Trajectory:
-    """Node-indexed values of a control over the grid."""
-
-    times: np.ndarray
-    values: np.ndarray  # shape (n_nodes, m) or, for a block, (n_nodes, m, k)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if self.values.shape[0] != self.times.shape[0]:
-            raise ValueError("one value row per time node required")
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("non-finite entries in control trajectory")
 
 
 def _rows(inst, v, what):
@@ -63,10 +48,9 @@ def solve_adjoint_backward(inst, pT):
 
     Solves -phi' = A* phi backward with the Crank-Nicolson step
     (I - dt/2 A*) phi_k = (I + dt/2 A*) phi_{k+1}, realized through the
-    transposed one-step propagator, and returns the control at every node as
-    a ``Trajectory`` with values of shape (n_t + 1, m) for a
-    vector pT and (n_t + 1, m, k) for a block pT of shape (n, k).  Adjoint
-    values are kept for one chunk of steps only.
+    transposed one-step propagator, and returns the control at every node,
+    of shape (n_t + 1, m) for a vector pT and (n_t + 1, m, k) for a block pT
+    of shape (n, k).  Adjoint values are kept for one chunk of steps only.
     """
     rows = _rows(inst, pT, "terminal adjoint")
     k = rows.shape[0]
@@ -81,8 +65,7 @@ def solve_adjoint_backward(inst, pT):
         for i in range(hi - lo - 1, -1, -1):
             np.matmul(S_T, phi[i + 1], out=phi[i])
         u[lo : hi + 1] = _controls(inst, phi[: hi - lo + 1])
-    values = u if np.ndim(pT) == 2 else u[:, :, 0]
-    return Trajectory(times=inst.grid.nodes(), values=values)
+    return u if np.ndim(pT) == 2 else u[:, :, 0]
 
 
 def solve_state_forward(inst, x_init, u=None):
@@ -91,17 +74,17 @@ def solve_state_forward(inst, x_init, u=None):
     Crank-Nicolson with the control averaged over consecutive nodes:
     (I - dt/2 A) x_{k+1} = (I + dt/2 A) x_k + dt/2 (B u_k + B u_{k+1}).
     ``u = None`` means zero control.  x_init is a vector of shape (n,) or a
-    block of shape (n, k), driven by a control with values of shape
-    (n_t + 1, m) or (n_t + 1, m, k); the result has the shape of x_init.
+    block of shape (n, k), driven by a control of shape (n_t + 1, m) or
+    (n_t + 1, m, k); the result has the shape of x_init.
     """
     rows = _rows(inst, x_init, "initial state")
     k = rows.shape[0]
     n_t = inst.grid.n_t
     S = inst.step_propagator
     if u is not None:
-        if u.values.shape != (n_t + 1, inst.m) + np.shape(x_init)[1:]:
-            raise ValueError("control trajectory not aligned with the time grid and the state")
-        controls = u.values.reshape(n_t + 1, inst.m, k)
+        if u.shape != (n_t + 1, inst.m) + np.shape(x_init)[1:]:
+            raise ValueError("control not aligned with the time grid and the state")
+        controls = u.reshape(n_t + 1, inst.m, k)
     x = np.empty((k, inst.n, 1))
     x[:, :, 0] = rows
     tmp = np.empty_like(x)
@@ -168,16 +151,16 @@ def evaluate_cost(inst, u):
     """Quadratic cost of a control: final-state mismatch plus control energy."""
     mismatch = solve_state_forward(inst, inst.x0, u) - inst.xT
     tracking = 0.5 * inst.ip.dot(mismatch, inst.apply_M(mismatch))
-    energies = np.einsum("ki,ij,kj->k", u.values, inst.R, u.values)
+    energies = np.einsum("ki,ij,kj->k", u, inst.R, u)
     return tracking + 0.5 * trapezoid_quad(energies, inst.grid.dt)
 
 
-def control_norm_dt(u):
-    """Discrete time-integrated control norm sqrt(dt * sum_{k>=1} |u_k|^2).
+def control_norm_dt(u, dt):
+    """Discrete time-integrated control norm sqrt(dt * sum_{k>=1} |u_k|^2) of
+    a control u with one row per node of a grid of step dt.
 
     The node at t = 0 is excluded, matching the indexing of the comparison
     norm used for reporting control errors.
     """
-    dt = float(u.times[1] - u.times[0])
-    return float(np.sqrt(dt * np.sum(u.values[1:] ** 2)))
+    return float(np.sqrt(dt * np.sum(u[1:] ** 2)))
 

@@ -7,8 +7,8 @@ is never assembled; conjugate gradients only needs operator applications,
 each of which costs one backward and one forward evolution solve (two
 sweeps).  An exact solve whose CG needs no restart costs
 2 * (CG iterations) + 5 sweeps: one for the right-hand side, one
-verified-residual application at convergence, and two for the control and
-final state of the solution.
+verified-residual application at convergence, and the two of the
+solution's certificate, which yield its control.
 
 The certificate of an approximate adjoint p is the residual norm of that
 system.  By linearity it equals the optimality residual
@@ -28,11 +28,10 @@ from .numerics import cg_solve
 
 @dataclass
 class ExactSolution:
-    """Optimal final-time adjoint with the reconstructed control and final state."""
+    """Optimal final-time adjoint with its control at the grid nodes."""
 
     phiT: np.ndarray
-    control: dynamics.Trajectory
-    state: np.ndarray  # x(T) driven from x0 by the optimal control
+    control: np.ndarray  # shape (n_t + 1, m)
     cg_iters: int
     residual_norm: float
 
@@ -41,9 +40,8 @@ def solve_exact(inst, cg_tol=1e-12, max_iter=None):
     """Solve the optimal control problem for one instance.
 
     Runs matrix-free CG on the final-time adjoint system, then reconstructs
-    the optimal control and the final state from the adjoint.  ``residual_norm`` is
-    the residual CG verified; ConvergenceError is raised if it exceeds
-    ``cg_tol``.
+    the optimal control from the adjoint.  ``residual_norm`` is the residual
+    CG verified; ConvergenceError is raised if it exceeds ``cg_tol``.
     """
     phiT, iters, res = cg_solve(
         lambda p: dynamics.apply_system_operator(inst, p),
@@ -56,10 +54,8 @@ def solve_exact(inst, cg_tol=1e-12, max_iter=None):
         raise ConvergenceError(
             f"cg returned residual {res:.3e} above tol {cg_tol:.3e}", phiT, res, iters
         )
-    _, control, state = error_estimator(inst, phiT)
-    return ExactSolution(
-        phiT=phiT, control=control, state=state, cg_iters=iters, residual_norm=res
-    )
+    _, control, _ = error_estimator(inst, phiT)
+    return ExactSolution(phiT=phiT, control=control, cg_iters=iters, residual_norm=res)
 
 
 def error_estimator(inst, p):

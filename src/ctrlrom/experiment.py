@@ -102,6 +102,9 @@ class ExperimentConfig:
             raise ValueError("test_seed >= 0 and surrogate_seed >= 0 required")
         # rejects a grid that does not fit the family, or a negative or NaN nu
         training_parameters(self, build_family(self))
+        for name in ("nu", "kernel_beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for kind in self.surrogate_kinds:
             _regressor(self, kind)  # rejects an unknown kind or a bad setting
         return self
@@ -325,10 +328,7 @@ def _evaluate_test_parameter(config, family, basis, models, index, mu):
 
 def _model_result(inst, exact, solution, runtime):
     true_err = inst.ip.norm(exact.phiT - solution.phiT_approx)
-    control_err = dynamics.control_norm_dt(
-        dynamics.Trajectory(times=exact.control.times,
-                            values=exact.control.values - solution.control.values)
-    )
+    control_err = dynamics.control_norm_dt(exact.control - solution.control, inst.grid.dt)
     return ModelResult(
         true_adjoint_error=true_err,
         estimated_error=solution.estimated_error,
@@ -418,11 +418,16 @@ def training_stage(config, training_data):
 def online_stage(config, basis, models):
     """Evaluate the reduced model and ``models`` on random test parameters
     outside the training grid, check the run's invariants and write the error
-    and timing CSVs; returns the ``RunReport``.  Nothing runs without a basis."""
+    and timing CSVs; returns the ``RunReport``.  Nothing runs without a basis,
+    and a basis of another family or inner-product weight raises ``ValueError``."""
+    family = build_family(config)
+    weight = family.build(family.domain.lows).ip.weight
+    if (basis.family_name, basis.ip.weight) != (family.name, weight):
+        raise ValueError(f"basis built for {basis.family_name} with inner-product weight "
+                         f"{basis.ip.weight!r}, config is {family.name} with weight {weight!r}")
     report = RunReport(config=config, greedy_history=basis.history, basis_size=basis.size,
                        model_names=["g-rom", *models])
     if config.test_count > 0 and basis.size > 0:
-        family = build_family(config)
         test_set = sample_random(family.domain, config.test_count, seed=config.test_seed,
                                  exclude=training_parameters(config, family))
         report.rows = _evaluate_test_set(config, family, basis, models, test_set)
@@ -455,20 +460,28 @@ def run_experiment(config):
         raise
 
 
+def damping_configs(config, damping_list=None):
+    """The validated configs of a damping sweep, keyed by damping constant:
+    for the wave family one per value in ``damping_list`` (default: its own
+    ``nu``), for the heat family, which takes no damping list, itself under None."""
+    if config.family != "wave":
+        if damping_list:
+            raise ValueError(f"a damping sweep needs the wave family's damping constant, "
+                             f"family {config.family} has none")
+        return {None: config.validate()}
+    nus = damping_list if damping_list else [config.nu]
+    return {float(nu): replace(config, nu=float(nu)).validate() for nu in nus}
+
+
 def run_svd_diagnostic(config, damping_list=None):
     """Singular values of the exact final-time adjoints over the training set.
 
-    For the wave family, one spectrum per damping constant in
-    ``damping_list``; for the heat family a single spectrum.  Returns a dict
-    mapping the damping value (or None for heat) to the descending singular
-    values and writes them to ``singular_values.csv``.  Every damping value
-    is validated before the first solve.
+    One spectrum per config of ``damping_configs``, each validated before
+    the first solve.  Returns a dict mapping the damping value (or None for
+    heat) to the descending singular values and writes them to
+    ``singular_values.csv``.
     """
-    if config.family == "wave":
-        nus = list(damping_list) if damping_list is not None else [config.nu]
-        configs = {float(nu): replace(config, nu=float(nu)).validate() for nu in nus}
-    else:
-        configs = {None: config.validate()}
+    configs = damping_configs(config, damping_list)
     spectra = {key: _training_set_singular_values(cfg) for key, cfg in configs.items()}
     labels = ["heat" if key is None else f"nu={key:g}" for key in spectra]
     _write_csv(_output_dir(config) / SINGULAR_VALUES_FILE,

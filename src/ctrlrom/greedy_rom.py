@@ -101,7 +101,7 @@ class ReducedSolution:
 
     coeffs: np.ndarray
     phiT_approx: np.ndarray
-    control: dynamics.Trajectory
+    control: np.ndarray  # at the grid nodes, shape (n_t + 1, m)
     estimated_error: float | None = None
 
 

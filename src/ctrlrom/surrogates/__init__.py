@@ -8,13 +8,9 @@ backward and one forward sweep, independent of the basis size; without
 certification only the backward sweep runs.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .. import dynamics, persist
-from ..exact_solver import error_estimator, solve_exact
-from ..greedy_rom import ReducedSolution, project_coefficients
+from ..exact_solver import error_estimator
+from ..greedy_rom import ReducedSolution
 from .base import CoefficientRegressor
 from .gpr import GPRegressor
 from .kernel import KernelRegressor
@@ -64,68 +60,3 @@ def surrogate_online(inst, basis, model, certify=True):
         control = dynamics.solve_adjoint_backward(inst, phi)
     return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
 
-
-@dataclass
-class AuditRow:
-    """Per-pair record of the surrogate error decomposition."""
-
-    parameter: np.ndarray
-    coefficient_error: float
-    adjoint_shift: float
-    greedy_residual: float
-    certified_error: float
-    true_error: float | None
-    a_priori_bound: float
-
-
-@dataclass
-class AuditReport:
-    rows: list
-    eps_tilde: float
-
-    @property
-    def max_coefficient_error(self):
-        return max(r.coefficient_error for r in self.rows)
-
-    def greedy_residuals_within_tolerance(self):
-        """Whether every projected adjoint meets the offline stopping tolerance."""
-        return all(r.greedy_residual <= self.eps_tilde for r in self.rows)
-
-
-def ml_error_bound_audit(family, basis, model, data, eps_tilde, check_true_errors=True,
-                         cg_tol=1e-12, cg_max_iter=None):
-    """Decompose the surrogate error against its two-term a priori bound.
-
-    For pairs with known reduced coefficients, reports the coefficient error
-    (which equals the induced adjoint shift exactly, because the basis is
-    orthonormal), the greedy residual of the projected adjoint, the certified
-    residual of the predicted adjoint, and, optionally, the true error
-    against the exact solve.  The a priori bound is the greedy residual plus
-    the coefficient error.  The certified residual is the estimate
-    ``surrogate_online`` reports for the same prediction.
-    """
-    rows = []
-    for mu, alpha in data.pairs:
-        inst = family.build(mu)
-        alpha_hat = model.predict(np.atleast_1d(mu))
-        coeff_err = float(np.linalg.norm(alpha - alpha_hat))
-        phi_hat = basis.combine(alpha_hat)
-        shift = inst.ip.norm(basis.combine(alpha) - phi_hat)
-        _, greedy_res = project_coefficients(inst, basis)
-        certified, _, _ = error_estimator(inst, phi_hat)
-        true_err = None
-        if check_true_errors:
-            reference = solve_exact(inst, cg_tol=cg_tol, max_iter=cg_max_iter)
-            true_err = inst.ip.norm(reference.phiT - phi_hat)
-        rows.append(
-            AuditRow(
-                parameter=np.atleast_1d(mu),
-                coefficient_error=coeff_err,
-                adjoint_shift=shift,
-                greedy_residual=greedy_res,
-                certified_error=certified,
-                true_error=true_err,
-                a_priori_bound=greedy_res + coeff_err,
-            )
-        )
-    return AuditReport(rows=rows, eps_tilde=eps_tilde)

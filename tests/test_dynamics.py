@@ -8,7 +8,6 @@ from scipy.linalg import expm
 
 from ctrlrom.dynamics import (
     _CHUNK,
-    Trajectory,
     apply_gramian,
     apply_system_operator,
     control_norm_dt,
@@ -31,19 +30,19 @@ class TestAdjointBackward:
                              np.eye(3), np.eye(3))
         pT = rng.standard_normal(3)
         u = solve_adjoint_backward(inst, pT)
-        np.testing.assert_allclose(u.values, np.tile(-pT, (65, 1)), atol=1e-14)
+        np.testing.assert_allclose(u, np.tile(-pT, (65, 1)), atol=1e-14)
 
     def test_zero_terminal_value(self):
         inst = scalar_instance(a=-2.0)
         u = solve_adjoint_backward(inst, np.array([0.0]))
-        np.testing.assert_array_equal(u.values, np.zeros((65, 1)))
+        np.testing.assert_array_equal(u, np.zeros((65, 1)))
 
     def test_scalar_matches_exponential(self):
         # closed form: phi(t) = exp(a (T - t)) pT, so phi(0) = exp(-1) pT;
         # with b = r = 1 the control is u = -phi
         inst = scalar_instance(a=-1.0, T=1.0, n_t=2000)
         u = solve_adjoint_backward(inst, np.array([1.0]))
-        assert u.values[0, 0] == pytest.approx(-np.exp(-1.0), abs=5e-8)
+        assert u[0, 0] == pytest.approx(-np.exp(-1.0), abs=5e-8)
 
     def test_wrong_length_rejected(self):
         inst = scalar_instance()
@@ -55,21 +54,21 @@ class TestControlFromAdjoint:
     def test_zero_adjoint_gives_zero_control(self):
         inst = scalar_instance(r=0.5)
         u = solve_adjoint_backward(inst, np.array([0.0]))
-        np.testing.assert_array_equal(u.values, np.zeros((65, 1)))
+        np.testing.assert_array_equal(u, np.zeros((65, 1)))
 
     def test_scalar_formula(self):
         # u = -c / r for constant adjoint c when A = 0, B = 1, h = 1
         inst = scalar_instance(a=0.0, b=1.0, r=4.0)
         u = solve_adjoint_backward(inst, np.array([2.0]))
-        np.testing.assert_allclose(u.values, -0.5 * np.ones((65, 1)), atol=1e-14)
+        np.testing.assert_allclose(u, -0.5 * np.ones((65, 1)), atol=1e-14)
 
     def test_heat_control_dimension(self):
         fam = build_heat_family(n_y=5, T=0.1, steps_per_point=4)
         inst = fam.build([1.0, 1.0])
         u = solve_adjoint_backward(inst, np.ones(5))
-        assert u.values.shape == (inst.grid.n_t + 1, 2)
+        assert u.shape == (inst.grid.n_t + 1, 2)
         block = solve_adjoint_backward(inst, np.ones((5, 3)))
-        assert block.values.shape == (inst.grid.n_t + 1, 2, 3)
+        assert block.shape == (inst.grid.n_t + 1, 2, 3)
 
     def test_requires_adjoint_kind(self):
         # the sweep takes a terminal adjoint of shape (n,) or (n, k), not a
@@ -91,7 +90,7 @@ class TestStateForward:
     def test_constant_control_integrates_exactly(self):
         # x' = u with u = 1 gives x(T) = T, exact under trapezoidal coupling
         inst = scalar_instance(a=0.0, b=1.0, T=1.0, n_t=16)
-        u = Trajectory(times=inst.grid.nodes(), values=np.ones((17, 1)))
+        u = np.ones((17, 1))
         assert solve_state_forward(inst, np.array([0.0]), u)[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_scalar_exponential(self):
@@ -207,46 +206,49 @@ class TestRhsVector:
 class TestCost:
     def test_zero_cost_at_matched_target(self):
         inst = scalar_instance(a=0.0, x0=1.0, xT=1.0)
-        u = Trajectory(times=inst.grid.nodes(), values=np.zeros((65, 1)))
-        assert evaluate_cost(inst, u) == pytest.approx(0.0, abs=1e-14)
+        assert evaluate_cost(inst, np.zeros((65, 1))) == pytest.approx(0.0, abs=1e-14)
 
     def test_pure_energy_term(self):
         inst = scalar_instance(a=0.0, b=0.0, x0=0.0, xT=0.0, r=1.0, T=1.0)
-        u = Trajectory(times=inst.grid.nodes(), values=np.ones((65, 1)))
-        assert evaluate_cost(inst, u) == pytest.approx(0.5, rel=1e-14)
+        assert evaluate_cost(inst, np.ones((65, 1))) == pytest.approx(0.5, rel=1e-14)
 
     def test_optimal_control_beats_zero_control(self):
         fam = build_heat_family(n_y=8, T=0.1, steps_per_point=10)
         inst = fam.build([1.4, 1.2])
         sol = solve_exact(inst, cg_tol=1e-12)
-        zero = Trajectory(times=inst.grid.nodes(),
-                          values=np.zeros((inst.grid.n_t + 1, 2)))
+        zero = np.zeros((inst.grid.n_t + 1, 2))
         assert evaluate_cost(inst, sol.control) <= evaluate_cost(inst, zero)
 
 
 class TestControlNorm:
     def test_zero(self):
         inst = scalar_instance()
-        u = Trajectory(times=inst.grid.nodes(), values=np.zeros((65, 1)))
-        assert control_norm_dt(u) == 0.0
+        assert control_norm_dt(np.zeros((65, 1)), inst.grid.dt) == 0.0
 
     def test_constant_unit_control(self):
         inst = scalar_instance(T=1.0, n_t=50)
-        u = Trajectory(times=inst.grid.nodes(), values=np.ones((51, 1)))
-        assert control_norm_dt(u) == pytest.approx(1.0, rel=1e-14)
+        assert control_norm_dt(np.ones((51, 1)), inst.grid.dt) == pytest.approx(1.0, rel=1e-14)
 
     def test_homogeneity(self, rng):
         inst = scalar_instance(T=2.0, n_t=32)
-        vals = rng.standard_normal((33, 1))
-        u = Trajectory(times=inst.grid.nodes(), values=vals)
-        u3 = Trajectory(times=inst.grid.nodes(), values=3.0 * vals)
-        assert control_norm_dt(u3) == pytest.approx(3.0 * control_norm_dt(u), rel=1e-12)
+        u = rng.standard_normal((33, 1))
+        dt = inst.grid.dt
+        assert control_norm_dt(3.0 * u, dt) == pytest.approx(3.0 * control_norm_dt(u, dt),
+                                                             rel=1e-12)
 
 
-class TestTrajectoryValidation:
-    def test_rejects_nan(self):
+class TestNonFiniteInput:
+    def test_forward_sweep_rejects_nan_control(self):
+        inst = scalar_instance(a=0.0, b=1.0)
+        u = np.ones((65, 1))
+        u[7, 0] = np.nan
         with pytest.raises(FloatingPointError):
-            Trajectory(times=np.array([0.0, 1.0]), values=np.array([[1.0], [np.nan]]))
+            solve_state_forward(inst, np.array([0.0]), u)
+
+    def test_backward_sweep_rejects_nan_adjoint(self):
+        inst = scalar_instance()
+        with pytest.raises(ValueError):
+            solve_adjoint_backward(inst, np.array([np.nan]))
 
 
 def with_steps(inst, n_t):
@@ -284,12 +286,12 @@ class TestBlockSweeps:
         inst = with_steps(inst, n_t)
         P = np.random.default_rng(seed).standard_normal((inst.n, k))
         images = apply_system_operator(inst, P)
-        controls = solve_adjoint_backward(inst, P).values
+        controls = solve_adjoint_backward(inst, P)
         assert images.shape == (inst.n, k)
         assert controls.shape == (n_t + 1, inst.m, k)
         for i in range(k):
             assert relative_gap(images[:, i], apply_system_operator(inst, P[:, i])) <= 1e-13
-            column = solve_adjoint_backward(inst, P[:, i]).values
+            column = solve_adjoint_backward(inst, P[:, i])
             assert relative_gap(controls[:, :, i], column) <= 1e-13
 
     def test_block_apply_keeps_no_trajectory(self, rng):

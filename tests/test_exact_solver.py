@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from ctrlrom import exact_solver
 from ctrlrom.dynamics import (
-    Trajectory,
     apply_system_operator,
     evaluate_cost,
     rhs_vector,
@@ -29,7 +28,7 @@ class TestSolveExact:
         inst = scalar_instance(a=0.0, x0=0.4, xT=0.4)
         sol = solve_exact(inst)
         assert sol.phiT[0] == pytest.approx(0.0, abs=1e-13)
-        np.testing.assert_allclose(sol.control.values, 0.0, atol=1e-13)
+        np.testing.assert_allclose(sol.control, 0.0, atol=1e-13)
 
     def test_scalar_closed_form(self):
         # (1 + T/r) phi = x0 - xT with T = r = 1 gives phi = 1/2 exactly
@@ -68,12 +67,10 @@ class TestSolveExact:
         inst = fam.build([1.5, 1.0])
         sol = solve_exact(inst)
         j_star = evaluate_cost(inst, sol.control)
-        nodes = inst.grid.nodes()
         for _ in range(5):
-            v = rng.standard_normal(sol.control.values.shape)
+            v = rng.standard_normal(sol.control.shape)
             for eps in (1e-3, -1e-3):
-                u = Trajectory(times=nodes, values=sol.control.values + eps * v)
-                assert evaluate_cost(inst, u) >= j_star - 1e-6
+                assert evaluate_cost(inst, sol.control + eps * v) >= j_star - 1e-6
 
 
 class TestErrorEstimator:
@@ -129,7 +126,7 @@ class TestErrorEstimator:
         p = rng.standard_normal(5)
         _, control, final_state = error_estimator(inst, p)
         expected = solve_adjoint_backward(inst, p)
-        np.testing.assert_array_equal(control.values, expected.values)
+        np.testing.assert_array_equal(control, expected)
         np.testing.assert_array_equal(final_state, solve_state_forward(inst, inst.x0, expected))
 
 

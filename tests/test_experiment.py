@@ -125,6 +125,7 @@ class TestConfigFile:
         dict(kernel_beta=float("nan")),
         dict(workers=0),
         dict(workers=-3),
+        dict(kernel_beta=float("inf")),
     ])
     def test_bad_surrogate_setting_rejected_before_any_stage(self, tmp_path, setting):
         with pytest.raises(ValueError):
@@ -143,6 +144,8 @@ class TestConfigFile:
         (dict(T=float("inf")), ["--final-time=inf"], "T must be"),
         (dict(family="wave", train_grid=(4,), nu=float("nan")),
          ["--family", "wave", "--train-grid", "4", "--nu=nan"], "damping constant"),
+        (dict(family="wave", train_grid=(4,), nu=float("inf")),
+         ["--family", "wave", "--train-grid", "4", "--nu=inf"], "nu must be finite"),
     ])
     def test_bad_greedy_setting_rejected_before_any_stage(self, tmp_path, setting, flags,
                                                           message):
@@ -325,6 +328,9 @@ class TestSvdDiagnostic:
                                train_grid=(4,), output_dir=str(tmp_path / "svd")).validate()
         with pytest.raises(ValueError, match="damping constant must be non-negative, got -1"):
             run_svd_diagnostic(cfg, damping_list=[0.0, 10.0, -1.0])
+        heat = tiny_heat_config(tmp_path / "svd")
+        with pytest.raises(ValueError, match="family heat has none"):
+            run_svd_diagnostic(heat, damping_list=[0.0, 10.0])
         assert solves == []
         assert not (tmp_path / "svd").exists()
 
@@ -362,6 +368,22 @@ class TestCli:
         (outdir / "surrogate_gpr.bin").unlink()
         with pytest.raises(FileNotFoundError, match="surrogate_gpr.bin"):
             main(["online", "--config", str(cfg_path)])
+
+    # wave at n_y=6 shares the state dimension 12 of the heat basis
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "wave", "--n-y", "6", "--train-grid", "4"], "config is wave"),
+        (["--n-y", "10"], "config is heat with weight 0.0909"),
+    ])
+    def test_online_rejects_basis_of_another_family_or_resolution(self, tmp_path, flags,
+                                                                   message):
+        outdir = tmp_path / "staged"
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(tiny_heat_config(outdir, n_y=12, surrogate_kinds=("kernel",)), cfg_path)
+        assert main(["offline", "--config", str(cfg_path)]) == 0
+        assert main(["train-surrogates", "--config", str(cfg_path)]) == 0
+        with pytest.raises(ValueError, match=f"basis built for heat with .*, {message}"):
+            main(["online", "--config", str(cfg_path), "--test-count", "2", *flags])
+        assert not (outdir / "analysis_results_errors.csv").exists()
 
     @pytest.mark.parametrize("tolerance", [1e-4, 1e3])  # 1e3: empty basis
     def test_staged_commands_write_what_full_run_writes(self, tmp_path, tolerance):
