@@ -139,7 +139,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-    except ValueError as exc:  # a flag or config-file value no stage accepts
+    except (ValueError, FileNotFoundError) as exc:  # a config no stage accepts, or no file
         parser.error(str(exc))
     return args.func(cfg, args)
 

@@ -16,10 +16,16 @@ keep no trajectory, so they work in O(_CHUNK * n * k + n_t * m * k) floats.
 A step multiplies the k vectors one by one inside one numpy call, which
 keeps each block column bit-identical to the single-vector result: the
 certificates cancel O(1) terms down to tiny residuals and would otherwise
-change with the grouping of the vectors.
+change with the grouping of the vectors.  A single vector steps as a plain
+1-d array through ``ndarray.dot``, the same BLAS product without the
+overhead of a stacked ``np.matmul``, and the steps of a chunk run from
+``map`` rather than a Python loop, so a step of a conjugate-gradient sweep
+costs little more than its BLAS call.
 """
 
 import hashlib
+from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +40,17 @@ def _rows(inst, v, what):
     if v.ndim not in (1, 2) or v.shape[0] != inst.n:
         raise ValueError(f"{what} must have shape ({inst.n},) or ({inst.n}, k), got {v.shape}")
     return v.reshape(inst.n, -1).T
+
+
+def _steps(a):
+    """The per-step operands of an array shaped (..., k, n, 1): the array
+    itself, or for k = 1 its 1-d vectors."""
+    return a[..., 0, :, 0] if a.shape[-3] == 1 else a
+
+
+def _product(M, k):
+    """The call (x, out) -> M x into out on the step operands of k vectors."""
+    return M.dot if k == 1 else partial(np.matmul, M)
 
 
 def _controls(inst, phi):
@@ -55,16 +72,17 @@ def solve_adjoint_backward(inst, pT):
     rows = _rows(inst, pT, "terminal adjoint")
     k = rows.shape[0]
     n_t = inst.grid.n_t
-    S_T = inst.step_propagator_T
+    step = _product(inst.step_propagator_T, k)
     u = np.empty((n_t + 1, inst.m, k))
     phi = np.empty((min(_CHUNK, n_t) + 1, k, inst.n, 1))
     phi[0, :, :, 0] = rows
+    nodes = list(_steps(phi))
     for hi in range(n_t, 0, -_CHUNK):
-        lo = max(hi - _CHUNK, 0)
-        phi[hi - lo] = phi[0]  # phi[i] holds the k adjoints at node lo + i
-        for i in range(hi - lo - 1, -1, -1):
-            np.matmul(S_T, phi[i + 1], out=phi[i])
-        u[lo : hi + 1] = _controls(inst, phi[: hi - lo + 1])
+        L = hi - max(hi - _CHUNK, 0)
+        phi[L] = phi[0]  # phi[i] holds the k adjoints at node hi - L + i
+        # phi[i] = S^T phi[i + 1] for i = L - 1, ..., 0; deque makes map's calls
+        deque(map(step, nodes[L:0:-1], nodes[L - 1 :: -1]), maxlen=0)
+        u[hi - L : hi + 1] = _controls(inst, phi[: L + 1])
     return u if np.ndim(pT) == 2 else u[:, :, 0]
 
 
@@ -80,30 +98,32 @@ def solve_state_forward(inst, x_init, u=None):
     rows = _rows(inst, x_init, "initial state")
     k = rows.shape[0]
     n_t = inst.grid.n_t
-    S = inst.step_propagator
+    step = _product(inst.step_propagator, k)
     if u is not None:
         if u.shape != (n_t + 1, inst.m) + np.shape(x_init)[1:]:
             raise ValueError("control not aligned with the time grid and the state")
         controls = u.reshape(n_t + 1, inst.m, k)
-    x = np.empty((k, inst.n, 1))
-    x[:, :, 0] = rows
-    tmp = np.empty_like(x)
+    xs = np.empty((min(_CHUNK, n_t) + 1, k, inst.n, 1))
+    xs[0, :, :, 0] = rows
+    nodes = list(_steps(xs))
     for lo in range(0, n_t, _CHUNK):
-        hi = min(lo + _CHUNK, n_t)
+        L = min(lo + _CHUNK, n_t) - lo
+        # xs[j] holds the k states at node lo + j; xs[j + 1] = S xs[j] for j < L
+        steps = map(step, nodes[:L], nodes[1 : L + 1])
         if u is not None:
             # (I - dt/2 A)^{-1} B dt/2 (u_j + u_{j+1}) for the chunk's steps
-            s = controls[lo:hi] + controls[lo + 1 : hi + 1]
+            s = controls[lo : lo + L] + controls[lo + 1 : lo + L + 1]
             g = s.transpose(0, 2, 1).reshape(-1, inst.m) @ inst.step_input_map.T
             g *= 0.5 * inst.grid.dt
-            g = g.reshape(hi - lo, k, inst.n, 1)
-        for j in range(hi - lo):
-            np.matmul(S, x, out=tmp)
-            if u is not None:
-                tmp += g[j]
-            x, tmp = tmp, x
+            g = _steps(g.reshape(L, k, inst.n, 1))
+            # zip alternates the calls: each product, then its input term
+            steps = zip(steps, map(np.add, nodes[1 : L + 1], g, nodes[1 : L + 1]))
+        deque(steps, maxlen=0)
+        xs[0] = xs[L]
+    x = xs[0].reshape(k, inst.n)
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("state propagation produced non-finite values")
-    return x[:, :, 0].T if np.ndim(x_init) == 2 else x[0, :, 0]
+    return x.T if np.ndim(x_init) == 2 else x[0]
 
 
 def apply_gramian(inst, p):

@@ -6,9 +6,9 @@ definite system (I + M Gramian) p = M (free-endpoint - target).  The system
 is never assembled; conjugate gradients only needs operator applications,
 each of which costs one backward and one forward evolution solve (two
 sweeps).  An exact solve whose CG needs no restart costs
-2 * (CG iterations) + 5 sweeps: one for the right-hand side, one
-verified-residual application at convergence, and the two of the
-solution's certificate, which yield its control.
+2 * (CG iterations) + 4 sweeps: one for the right-hand side, two for the
+verified-residual application at convergence, and the backward sweep that
+yields the solution's control.
 
 The certificate of an approximate adjoint p is the residual norm of that
 system.  By linearity it equals the optimality residual
@@ -54,7 +54,7 @@ def solve_exact(inst, cg_tol=1e-12, max_iter=None):
         raise ConvergenceError(
             f"cg returned residual {res:.3e} above tol {cg_tol:.3e}", phiT, res, iters
         )
-    _, control, _ = error_estimator(inst, phiT)
+    control = dynamics.solve_adjoint_backward(inst, phiT)
     return ExactSolution(phiT=phiT, control=control, cg_iters=iters, residual_norm=res)
 
 

@@ -13,7 +13,6 @@ own files into ``config.output_dir`` and returns its result;
 
 import configparser
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -39,10 +38,10 @@ SINGULAR_VALUES_FILE = "singular_values.csv"
 # this package's weighted residual norm (factor 1/sqrt(h) at n_y=60); see
 # the README.
 _FAMILY_DEFAULTS = {
-    "heat": dict(workers=2),  # the dataclass defaults are the heat setup
+    "heat": {},  # the dataclass defaults are the heat setup
     "wave": dict(n_y=60, T=1.0, steps_per_point=10, train_grid=(50,),
                  tolerance=7.81e-2, cg_tol=1e-9, cg_max_iter=8000,
-                 kernel_beta=1.0, workers=2),
+                 kernel_beta=1.0),
 }
 
 
@@ -78,7 +77,6 @@ class ExperimentConfig:
     surrogate_seed: int = _key("surrogates", 0)
     test_count: int = _key("test", 100)
     test_seed: int = _key("test", 2024)
-    workers: int = _key("test", 1)
     output_dir: str = _key("output", "results")
 
     def validate(self):
@@ -94,8 +92,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.max_basis < 1 or self.test_count < 0 or self.workers < 1:
-            raise ValueError("max_basis >= 1, test_count >= 0 and workers >= 1 required")
+        if self.max_basis < 1 or self.test_count < 0:
+            raise ValueError("max_basis >= 1 and test_count >= 0 required")
         if self.cg_max_iter < 0:
             raise ValueError("cg_max_iter >= 0 required (0 = solver default)")
         if self.test_seed < 0 or self.surrogate_seed < 0:
@@ -105,6 +103,8 @@ class ExperimentConfig:
         for name in ("nu", "kernel_beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if len(set(self.surrogate_kinds)) < len(self.surrogate_kinds):
+            raise ValueError(f"surrogate_kinds names a kind twice: {self.surrogate_kinds!r}")
         for kind in self.surrogate_kinds:
             _regressor(self, kind)  # rejects an unknown kind or a bad setting
         return self
@@ -153,12 +153,16 @@ def load_config(path):
     """Read a config written by ``save_config``.
 
     Keys missing from the file fall back to the per-family defaults of the
-    family named in the file; a section or key that ``save_config`` does not
-    write there raises ``ValueError``.
+    family named in the file; a file that is not INI, or a section or key
+    that ``save_config`` does not write there, raises ``ValueError``.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    if not parser.read(path, encoding="utf-8"):
-        raise FileNotFoundError(path)
+    try:
+        found = parser.read(path, encoding="utf-8")
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: malformed config file: {exc}") from exc
+    if not found:
+        raise FileNotFoundError(f"config file {path} not found")
     family = parser.get("family", "family", fallback="heat")
     defaults = default_config(family)
     keys = {(f.metadata["section"], parser.optionxform(f.name)): f.name
@@ -266,41 +270,6 @@ class RunReport:
 
     def ok(self):
         return not self.invariant_violations
-
-
-# shared, read-only context for forked evaluation workers; set by the parent
-# right before the pool starts (fork inherits it), never mutated afterwards
-_POOL_CONTEXT = {}
-
-
-def _evaluate_in_worker(task):
-    index, mu = task
-    ctx = _POOL_CONTEXT
-    return _evaluate_test_parameter(
-        ctx["config"], ctx["family"], ctx["basis"], ctx["models"], index, mu
-    )
-
-
-def _evaluate_test_set(config, family, basis, models, test_set):
-    """Evaluate all test parameters, with an optional forked worker pool.
-
-    Each parameter is independent (the evaluation is a pure function of
-    immutable data); rows are reduced back in test-index order, so results
-    are identical for any worker count.  Workers inherit the shared context,
-    so the pool forks whatever the global start method; without fork the
-    evaluation runs serially.
-    """
-    tasks = list(enumerate(test_set))
-    workers = min(config.workers, len(tasks))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        _POOL_CONTEXT.update(config=config, family=family, basis=basis, models=models)
-        try:
-            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-                return pool.map(_evaluate_in_worker, tasks)
-        finally:
-            _POOL_CONTEXT.clear()
-    return [_evaluate_test_parameter(config, family, basis, models, i, mu)
-            for i, mu in tasks]
 
 
 def _evaluate_test_parameter(config, family, basis, models, index, mu):
@@ -417,8 +386,9 @@ def training_stage(config, training_data):
 
 def online_stage(config, basis, models):
     """Evaluate the reduced model and ``models`` on random test parameters
-    outside the training grid, check the run's invariants and write the error
-    and timing CSVs; returns the ``RunReport``.  Nothing runs without a basis,
+    outside the training grid, one after another in this process, check the
+    run's invariants and write the error and timing CSVs; returns the
+    ``RunReport``.  Nothing runs without a basis,
     and a basis of another family or inner-product weight raises ``ValueError``."""
     family = build_family(config)
     weight = family.build(family.domain.lows).ip.weight
@@ -430,7 +400,8 @@ def online_stage(config, basis, models):
     if config.test_count > 0 and basis.size > 0:
         test_set = sample_random(family.domain, config.test_count, seed=config.test_seed,
                                  exclude=training_parameters(config, family))
-        report.rows = _evaluate_test_set(config, family, basis, models, test_set)
+        report.rows = [_evaluate_test_parameter(config, family, basis, models, i, mu)
+                       for i, mu in enumerate(test_set)]
         report.exact_avg_runtime = float(np.mean([row.exact_runtime for row in report.rows]))
         _check_invariants(report)
     emit_reports(report, _output_dir(config))

@@ -18,7 +18,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg import cho_factor, lu_factor, lu_solve
+from scipy.linalg.lapack import dpotrs
 
 from .numerics import InnerProduct
 
@@ -123,8 +124,13 @@ class ProblemInstance:
         self.step_input_map = lu_solve(lu, self.B)
 
     def solve_R(self, rhs):
-        """Solve R y = rhs using the precomputed Cholesky factor."""
-        return cho_solve(self._R_chol, rhs)
+        """Solve R y = rhs using the precomputed Cholesky factor; a non-finite
+        rhs raises ValueError.  LAPACK directly: ``cho_solve``'s checks cost
+        more than the small solve each chunk of a backward sweep makes."""
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("right-hand side of R y = rhs must be finite")
+        c, lower = self._R_chol
+        return dpotrs(c, rhs, lower=lower)[0]
 
     def apply_M(self, v):
         return self.M @ v

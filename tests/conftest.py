@@ -1,8 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from ctrlrom.numerics import InnerProduct
-from ctrlrom.system import ProblemInstance, TimeGrid
+# One BLAS thread, as the benchmark pins it (perfbench/env.py): a sweep step
+# is one matrix-vector product of order 100, too small for a second thread
+# to pay off, and the acceptance timings then read what the benchmark
+# measures.  Set before numpy loads; a value set in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from ctrlrom.numerics import InnerProduct  # noqa: E402
+from ctrlrom.system import ProblemInstance, TimeGrid  # noqa: E402
 
 
 def make_instance(A, B, x0, xT, M, R, weight=1.0, T=1.0, n_t=64):

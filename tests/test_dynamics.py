@@ -294,6 +294,23 @@ class TestBlockSweeps:
             column = solve_adjoint_backward(inst, P[:, i])
             assert relative_gap(controls[:, :, i], column) <= 1e-13
 
+    @pytest.mark.parametrize("family", [build_heat_family(), build_wave_family(n_y=60)],
+                             ids=["heat", "wave"])
+    def test_vector_sweeps_equal_block_columns_bitwise(self, family, rng):
+        # a vector steps through np.dot, a block through the stacked
+        # np.matmul; both must make the same BLAS product at the benchmark
+        # sizes (n = 100 and 120), where the certificates cancel O(1) terms
+        inst = family.build(family.domain.highs)
+        P = rng.standard_normal((inst.n, 3))
+        controls = solve_adjoint_backward(inst, P)
+        states = solve_state_forward(inst, P, controls)
+        free = solve_state_forward(inst, P)
+        for i in range(3):
+            column = solve_adjoint_backward(inst, P[:, i])
+            np.testing.assert_array_equal(controls[:, :, i], column)
+            np.testing.assert_array_equal(states[:, i], solve_state_forward(inst, P[:, i], column))
+            np.testing.assert_array_equal(free[:, i], solve_state_forward(inst, P[:, i]))
+
     def test_block_apply_keeps_no_trajectory(self, rng):
         # a stored (n_t + 1) x n x k trajectory would need four times the
         # bound below

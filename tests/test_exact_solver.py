@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ctrlrom import exact_solver
+from ctrlrom import dynamics, exact_solver
 from ctrlrom.dynamics import (
     apply_system_operator,
     evaluate_cost,
@@ -60,6 +60,21 @@ class TestSolveExact:
             solve_exact(inst, cg_tol=1e-12)
         assert err.value.residual_norm == 1e-6
         assert err.value.iterations == 3
+
+    def test_sweeps_pair_up(self, monkeypatch):
+        # the right-hand side is the one unpaired forward sweep, the control
+        # of the solution the one unpaired backward sweep: an exact solve runs
+        # no forward sweep from x0 that nothing reads
+        counts = {"solve_adjoint_backward": 0, "solve_state_forward": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(dynamics, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(dynamics, name, counted)
+        inst = build_heat_family(n_y=6, T=0.1, steps_per_point=10).build([1.8, 0.6])
+        sol = solve_exact(inst, cg_tol=1e-12)
+        assert counts["solve_adjoint_backward"] == counts["solve_state_forward"]
+        assert counts["solve_adjoint_backward"] >= sol.cg_iters + 2
 
     def test_first_order_optimality(self, rng):
         # J(u* + eps v) >= J(u*) - 1e-6 for random directions

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,14 +58,13 @@ FIELD_STRATEGIES = dict(
     cg_tol=_POSITIVE,
     cg_max_iter=st.integers(min_value=0),
     surrogate_kinds=st.lists(st.sampled_from(["kernel", "gpr", "mlp"]),
-                             min_size=1, max_size=4).map(tuple),
+                             min_size=1, max_size=3, unique=True).map(tuple),
     kernel_beta=_POSITIVE,
     gpr_restarts=st.integers(min_value=1),
     mlp_restarts=st.integers(min_value=1),
     surrogate_seed=st.integers(min_value=0),
     test_count=st.integers(min_value=0),
     test_seed=st.integers(min_value=0),
-    workers=st.integers(min_value=1),
     # INI values lose surrounding whitespace, and argparse before Python
     # 3.13 drops a flag value that is exactly "--" (``--output-dir=--``)
     output_dir=st.text(alphabet="ab/_-.%;#=:[] é", max_size=12).filter(
@@ -76,15 +75,14 @@ VALID_CONFIGS = st.builds(ExperimentConfig, **FIELD_STRATEGIES).filter(
     lambda c: len(c.train_grid) == {"heat": 2, "wave": 1}[c.family])
 
 
-def config_flags(config):
-    """Command-line flags setting every field of ``config``."""
+def config_flags(setting):
+    """Command-line flags setting each config field that ``setting`` names."""
     argv = []
-    for name, flag in FLAGS.items():
-        value = getattr(config, name)
+    for name, value in setting.items():
         if isinstance(value, tuple):
-            argv += [flag, *map(str, value)]
+            argv += [FLAGS[name], *map(str, value)]
         else:
-            argv.append(f"{flag}={value}")
+            argv.append(f"{FLAGS[name]}={value}")
     return argv
 
 
@@ -99,7 +97,7 @@ class TestConfigFile:
         path = tmp_path_factory.getbasetemp() / "round_trip.ini"
         save_config(cfg, path)
         assert load_config(path) == cfg
-        args = build_parser().parse_args(["offline", *config_flags(cfg)])
+        args = build_parser().parse_args(["offline", *config_flags(asdict(cfg))])
         assert _resolve_config(args) == cfg
 
     def test_flag_spellings(self):
@@ -123,17 +121,17 @@ class TestConfigFile:
         dict(test_seed=-1),
         dict(surrogate_seed=-1),
         dict(kernel_beta=float("nan")),
-        dict(workers=0),
-        dict(workers=-3),
         dict(kernel_beta=float("inf")),
+        dict(surrogate_kinds=("kernel", "kernel")),
+        dict(surrogate_kinds=("gpr", "mlp", "gpr")),
     ])
     def test_bad_surrogate_setting_rejected_before_any_stage(self, tmp_path, setting):
         with pytest.raises(ValueError):
             tiny_heat_config(tmp_path, **setting)
         outdir = tmp_path / "run"
-        flags = [f"{FLAGS[key]}={value}" for key, value in setting.items()]
         with pytest.raises(SystemExit) as exit_:
-            main(["full-run", "--n-y", "6", "--output-dir", str(outdir), *flags])
+            main(["full-run", "--n-y", "6", "--output-dir", str(outdir),
+                  *config_flags(setting)])
         assert exit_.value.code == 2
         assert not outdir.exists()
 
@@ -197,6 +195,7 @@ class TestConfigFile:
         "[test]\ntolerance = 1e-3\n",
         "[output]\ncertify = true\n",
         "[greedy]\ntrack_true_errors = false\n",
+        "[test]\nworkers = 2\n",
     ])
     def test_unknown_section_or_key_rejected(self, tmp_path, text):
         path = tmp_path / "typo.ini"
@@ -204,6 +203,23 @@ class TestConfigFile:
         section, key = re.match(r"\[(\w+)\]\n(\w+)", text).groups()
         with pytest.raises(ValueError, match=rf"'{key}' in section \[{section}\]"):
             load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "[family]\nfamily = heat\nfamily = wave\n",
+        "[family]\nfamily = heat\n\n[family]\nn_y = 6\n",
+        "family = heat\n",
+        None,
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header", "missing-file"])
+    def test_malformed_or_missing_config_file_rejected_before_any_stage(self, tmp_path,
+                                                                       text):
+        path = tmp_path / "bad.ini"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_:
+            main(["full-run", "--config", str(path), "--output-dir", str(outdir)])
+        assert exit_.value.code == 2
+        assert not outdir.exists()
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -263,14 +279,6 @@ class TestRunExperiment:
         for name in ("basis.crb", "training_data.bin", "surrogate_kernel.bin",
                      "surrogate_gpr.bin", "surrogate_mlp.bin"):
             assert (outdir / name).read_bytes() == (rerun_dir / name).read_bytes(), name
-
-    def test_error_csv_independent_of_worker_count(self, completed_run, tmp_path):
-        cfg, outdir, _ = completed_run
-        assert cfg.workers == 1
-        pooled_dir = tmp_path / "pooled"
-        run_experiment(replace(cfg, workers=2, output_dir=str(pooled_dir)))
-        serial = (outdir / "analysis_results_errors.csv").read_bytes()
-        assert (pooled_dir / "analysis_results_errors.csv").read_bytes() == serial
 
     def test_zero_test_count_gives_history_only(self, tmp_path):
         cfg = tiny_heat_config(tmp_path, test_count=0)
