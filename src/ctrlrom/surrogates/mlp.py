@@ -8,8 +8,17 @@ Training minimizes the mean squared error by full-batch gradient descent
 with adaptive moment estimates (base rate ``LEARNING_RATE`` = 0.01, halved
 every 1000 steps), early-stopped on a held-out share ``VAL_FRACTION`` = 0.1
 of the pairs once more than ``PATIENCE`` = 10 validation checks, one every
-``CHECK_EVERY`` = 25 steps, bring no new best; the best of several random
-restarts (by final training loss) wins.
+``CHECK_EVERY`` = 25 steps and one after the last step, bring no new best;
+the best of several random restarts (by final training loss) wins.
+
+The restarts are trained together, as one network stacked along a leading
+axis: each weight is (restarts, out, in) and each bias (restarts, out), and
+one gradient evaluation and one update per step serve every restart still
+training.  ``forward``, ``loss_gradients`` and ``mse_loss`` take one network
+or such a stack; a slice of a stacked result equals the single network's
+result bit for bit, so every restart follows the arithmetic it would follow
+alone.  Working memory grows as restarts x (parameters + pairs x 50 floats),
+about 5 MB at the default 10 restarts.
 """
 
 import numpy as np
@@ -35,21 +44,26 @@ def init_params(layer_sizes, rng):
 
 
 def forward(params, X):
-    """Forward pass; returns output and per-layer activations for backprop."""
+    """Forward pass; returns output and per-layer activations for backprop.
+
+    The inputs ``X`` (pairs, in) are shared by every network of a stack.
+    """
     activations = [X]
     a = X
     n_layers = len(params) // 2
     for i in range(n_layers):
         W, b = params[2 * i], params[2 * i + 1]
-        z = a @ W.T + b
+        z = np.matmul(a, W.swapaxes(-1, -2)) + b[..., None, :]
         a = z if i == n_layers - 1 else np.tanh(z)
         activations.append(a)
     return a, activations
 
 
 def mse_loss(params, X, Y):
+    """Mean squared error: a float for one network, an array for a stack."""
     out, _ = forward(params, X)
-    return float(np.mean(np.sum((out - Y) ** 2, axis=1)))
+    loss = np.mean(np.sum((out - Y) ** 2, axis=-1), axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def loss_gradients(params, X, Y):
@@ -61,10 +75,10 @@ def loss_gradients(params, X, Y):
     for i in range(n_layers - 1, -1, -1):
         W = params[2 * i]
         a_prev = activations[i]
-        grads[2 * i] = delta.T @ a_prev
-        grads[2 * i + 1] = delta.sum(axis=0)
+        grads[2 * i] = np.matmul(delta.swapaxes(-1, -2), a_prev)
+        grads[2 * i + 1] = delta.sum(axis=-2)
         if i > 0:
-            delta = (delta @ W) * (1.0 - activations[i] ** 2)
+            delta = np.matmul(delta, W) * (1.0 - activations[i] ** 2)
     return grads
 
 
@@ -76,23 +90,29 @@ class MLPRegressor(CoefficientRegressor):
         super().__init__(seed=seed)
         if restarts < 1:
             raise ValueError(f"mlp needs at least one restart, got {restarts}")
+        if max_steps < 1:
+            raise ValueError(f"mlp needs at least one training step, got {max_steps}")
         self.restarts = int(restarts)
         self.max_steps = int(max_steps)
         self.params = None
         self.y_min = None
         self.y_span = None
 
-    def _train_once(self, layer_sizes, X, Yn, train_idx, val_idx, rng):
-        params = init_params(layer_sizes, rng)
+    def _train(self, layer_sizes, Xt, Yt, Xv, Yv):
+        """Adam on every restart at once; returns the restarts' weights at
+        their best validation loss, stacked, and which restarts diverged."""
+        inits = [init_params(layer_sizes, np.random.default_rng(self.seed * 100003 + r))
+                 for r in range(self.restarts)]
+        params = [np.stack(layer) for layer in zip(*inits)]
+        best = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
-        Xt, Yt = X[train_idx], Yn[train_idx]
-        Xv, Yv = X[val_idx], Yn[val_idx]
-        best_val = np.inf
-        best_params = [p.copy() for p in params]
+        active = np.arange(self.restarts)  # the restart of each row of the stack
+        best_val = np.full(self.restarts, np.inf)
+        best_check = np.zeros(self.restarts, dtype=int)
+        diverged = np.zeros(self.restarts, dtype=bool)
         checks = 0
-        best_check = 0
         for step in range(1, self.max_steps + 1):
             grads = loss_gradients(params, Xt, Yt)
             lr = LEARNING_RATE * 0.5 ** (step // 1000)
@@ -103,19 +123,27 @@ class MLPRegressor(CoefficientRegressor):
                 v_hat = v[i] / (1 - beta2**step)
                 params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
             # validation is polled on a coarser grid than the optimizer steps
-            # so the patience window spans a meaningful stretch of training
-            if step % CHECK_EVERY == 0:
-                checks += 1
-                val = mse_loss(params, Xv, Yv)
-                if not np.isfinite(val):
-                    return None, np.inf
-                if val < best_val:
-                    best_val = val
-                    best_params = [p.copy() for p in params]
-                    best_check = checks
-                elif checks - best_check > PATIENCE:
+            # so the patience window spans a meaningful stretch of training;
+            # the last step is checked too, so no step goes unused
+            if step % CHECK_EVERY and step < self.max_steps:
+                continue
+            checks += 1
+            val = mse_loss(params, Xv, Yv)
+            finite = np.isfinite(val)
+            improved = finite & (val < best_val[active])
+            best_val[active[improved]] = val[improved]
+            best_check[active[improved]] = checks
+            for kept, p in zip(best, params):
+                kept[active[improved]] = p[improved]
+            diverged[active[~finite]] = True
+            # a restart leaves the stack where it diverges or runs out of patience
+            stays = finite & (checks - best_check[active] <= PATIENCE)
+            if not stays.all():
+                active = active[stays]
+                if active.size == 0:
                     break
-        return best_params, mse_loss(best_params, Xt, Yt)
+                params, m, v = ([a[stays] for a in arrays] for arrays in (params, m, v))
+        return best, diverged
 
     def fit(self, data):
         X = data.inputs()
@@ -136,15 +164,15 @@ class MLPRegressor(CoefficientRegressor):
         n_val = max(1, int(np.ceil(VAL_FRACTION * n)))
         val_idx, train_idx = order[n - n_val :], order[: n - n_val]
 
-        best = (np.inf, None)
-        for r in range(self.restarts):
-            rng = np.random.default_rng(self.seed * 100003 + r)
-            params, train_loss = self._train_once(layer_sizes, X, Yn, train_idx, val_idx, rng)
-            if params is not None and train_loss < best[0]:
-                best = (train_loss, params)
-        if best[1] is None:
+        Xt, Yt = X[train_idx], Yn[train_idx]
+        best, diverged = self._train(layer_sizes, Xt, Yt, X[val_idx], Yn[val_idx])
+        train_loss = mse_loss(best, Xt, Yt)
+        # a NaN loss never wins; ties go to the lowest restart index
+        train_loss[diverged | np.isnan(train_loss)] = np.inf
+        winner = int(np.argmin(train_loss))
+        if train_loss[winner] == np.inf:
             raise TrainingError("all mlp restarts diverged")
-        self.params = best[1]
+        self.params = [p[winner].copy() for p in best]
         self.n_outputs = Y.shape[1]
         return self
 

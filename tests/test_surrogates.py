@@ -1,9 +1,13 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrlrom import persist
+from ctrlrom.errors import TrainingError
 from ctrlrom.experiment import surrogate_path
 from ctrlrom.exact_solver import solve_exact
 from ctrlrom.greedy_rom import TrainingData, greedy_offline, project_coefficients, rom_online
@@ -13,6 +17,7 @@ from ctrlrom.surrogates import (
     MLPRegressor,
     load_model,
     make_regressor,
+    mlp,
     surrogate_online,
 )
 from ctrlrom.surrogates.base import CoefficientRegressor
@@ -31,6 +36,64 @@ def make_training_data(n=12, p=2, N=3, seed=0, mapping=None):
         C = rng.standard_normal((N, p))
         mapping = lambda x: C @ x
     return TrainingData(pairs=[(x, np.asarray(mapping(x), dtype=float)) for x in X])
+
+
+def reference_restart(layer_sizes, Xt, Yt, Xv, Yv, rng, max_steps):
+    """One restart's Adam loop on its own network, as the fit ran before the
+    restarts were stacked.  Returns (best params or None if it diverged,
+    training loss at them, the step it stopped at)."""
+    params = mlp.init_params(layer_sizes, rng)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    best_val = np.inf
+    best_params = [p.copy() for p in params]
+    checks = 0
+    best_check = 0
+    for step in range(1, max_steps + 1):
+        grads = mlp.loss_gradients(params, Xt, Yt)
+        lr = mlp.LEARNING_RATE * 0.5 ** (step // 1000)
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g**2
+            m_hat = m[i] / (1 - beta1**step)
+            v_hat = v[i] / (1 - beta2**step)
+            params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        if step % mlp.CHECK_EVERY == 0 or step == max_steps:
+            checks += 1
+            val = mlp.mse_loss(params, Xv, Yv)
+            if not np.isfinite(val):
+                return None, np.inf, step
+            if val < best_val:
+                best_val = val
+                best_params = [p.copy() for p in params]
+                best_check = checks
+            elif checks - best_check > mlp.PATIENCE:
+                break
+    return best_params, mlp.mse_loss(best_params, Xt, Yt), step
+
+
+def reference_fit(model, data):
+    """The restarts of ``model`` trained one after another; returns the
+    winner's params and the step each restart stopped at."""
+    X, Y = data.inputs(), data.targets()
+    n = X.shape[0]
+    y_min = Y.min(axis=0)
+    y_span = Y.max(axis=0) - y_min
+    Yn = (Y - y_min) / np.where(y_span > 0.0, y_span, 1.0)
+    order = np.random.default_rng(model.seed).permutation(n)
+    n_val = max(1, int(np.ceil(mlp.VAL_FRACTION * n)))
+    val_idx, train_idx = order[n - n_val :], order[: n - n_val]
+    layer_sizes = [X.shape[1], *mlp.HIDDEN_LAYERS, Y.shape[1]]
+    best, stops = (np.inf, None), []
+    for r in range(model.restarts):
+        rng = np.random.default_rng(model.seed * 100003 + r)
+        params, loss, stop = reference_restart(layer_sizes, X[train_idx], Yn[train_idx],
+                                               X[val_idx], Yn[val_idx], rng, model.max_steps)
+        stops.append(None if params is None else stop)
+        if params is not None and loss < best[0]:
+            best = (loss, params)
+    return best[1], stops
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +253,115 @@ class TestMLPRegressor:
         data = make_training_data(n=4, seed=14)
         with pytest.raises(ValueError):
             MLPRegressor().fit(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+           n=st.integers(1, 12), restarts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stack_slices_equal_single_networks(self, layers, n, restarts, seed):
+        rng = np.random.default_rng(seed)
+        nets = [[rng.standard_normal(p.shape) for p in init_params(layers, rng)]
+                for _ in range(restarts)]
+        stack = [np.stack(layer) for layer in zip(*nets)]
+        X = rng.standard_normal((n, layers[0]))
+        Y = rng.standard_normal((n, layers[-1]))
+        out, activations = forward(stack, X)
+        grads = loss_gradients(stack, X, Y)
+        losses = mse_loss(stack, X, Y)
+        for r, net in enumerate(nets):
+            single_out, single_activations = forward(net, X)
+            assert np.array_equal(out[r], single_out)
+            for a, single in zip(activations[1:], single_activations[1:]):
+                assert np.array_equal(a[r], single)
+            for g, single in zip(grads, loss_gradients(net, X, Y)):
+                assert np.array_equal(g[r], single)
+            loss = mse_loss(net, X, Y)
+            assert isinstance(loss, float)
+            assert losses[r] == loss
+
+    @pytest.mark.parametrize("n, seed, restarts, max_steps, distinct_stops", [
+        (10, 7, 2, 300, 1),  # every restart runs to the last step
+        (6, 0, 4, 1000, 2),  # restarts run out of patience at different checks
+        (6, 0, 4, 410, 2),  # some stop early, the others get a check after step 410
+        (8, 3, 3, 20, 1),  # one check, after the last step
+    ])
+    def test_stacked_fit_is_the_per_restart_fit(self, monkeypatch, n, seed, restarts, max_steps,
+                                                distinct_stops):
+        data = make_training_data(n=n, seed=seed)
+        calls = self.count_gradient_calls(monkeypatch)
+        model = MLPRegressor(seed=seed, restarts=restarts, max_steps=max_steps).fit(data)
+        steps = len(calls)
+        expected, stops = reference_fit(model, data)
+        assert len(set(stops)) >= distinct_stops
+        # the stack trains until its last restart stops
+        assert steps == max(stops)
+        assert len(model.params) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(model.params, expected))
+
+    def test_diverging_restart_is_dropped(self, monkeypatch):
+        # restart 1 of each fit starts from weights whose outputs overflow
+        calls = itertools.count()
+        init = mlp.init_params
+
+        def huge_second(layer_sizes, rng):
+            params = init(layer_sizes, rng)
+            return [1e200 * p for p in params] if next(calls) % 3 == 1 else params
+
+        monkeypatch.setattr(mlp, "init_params", huge_second)
+        data = make_training_data(n=10, seed=21)
+        with np.errstate(all="ignore"):
+            model = MLPRegressor(seed=1, restarts=3, max_steps=100).fit(data)
+            expected, stops = reference_fit(model, data)
+        assert stops[1] is None and None not in (stops[0], stops[2])
+        assert all(np.array_equal(a, b) for a, b in zip(model.params, expected))
+
+    def test_restart_diverging_after_good_checks_is_dropped(self, monkeypatch):
+        # NaN gradients at step 90: the weights of the checks at steps 25-75
+        # do not make the one restart a winner
+        calls = itertools.count(1)
+        gradients = mlp.loss_gradients
+
+        def poisoned(*args):
+            grads = gradients(*args)
+            return [np.full_like(g, np.nan) for g in grads] if next(calls) == 90 else grads
+
+        monkeypatch.setattr(mlp, "loss_gradients", poisoned)
+        with pytest.raises(TrainingError, match="diverged"):
+            MLPRegressor(seed=0, restarts=1, max_steps=100).fit(make_training_data(n=8, seed=22))
+
+    @staticmethod
+    def count_gradient_calls(monkeypatch):
+        calls = []
+        gradients = mlp.loss_gradients
+
+        def counted(*args):
+            calls.append(None)
+            return gradients(*args)
+
+        monkeypatch.setattr(mlp, "loss_gradients", counted)
+        return calls
+
+    def test_one_gradient_evaluation_per_step_for_all_restarts(self, monkeypatch):
+        calls = self.count_gradient_calls(monkeypatch)
+        MLPRegressor(seed=0, restarts=4, max_steps=100).fit(make_training_data(n=10, seed=23))
+        # one restart after another took up to 4 x 100
+        assert 0 < len(calls) <= 100
+
+    def test_trailing_steps_are_kept(self):
+        data = make_training_data(n=10, seed=24)
+
+        def fitted(max_steps):
+            return MLPRegressor(seed=2, restarts=2, max_steps=max_steps).fit(data).params
+
+        layer_sizes = [2, *mlp.HIDDEN_LAYERS, 3]
+        inits = [init_params(layer_sizes, np.random.default_rng(2 * 100003 + r))[0]
+                 for r in range(2)]
+        assert not any(np.array_equal(fitted(20)[0], init) for init in inits)
+        assert not np.array_equal(fitted(49)[0], fitted(25)[0])
+
+    @pytest.mark.parametrize("max_steps", [0, -5])
+    def test_needs_one_step(self, max_steps):
+        with pytest.raises(ValueError, match="training step"):
+            MLPRegressor(max_steps=max_steps)
 
     def test_save_load_round_trip(self, tmp_path):
         data = make_training_data(n=8, seed=15)
