@@ -375,7 +375,7 @@ def offline_stage(config):
 def training_stage(config, training_data):
     """Fit the requested surrogates and write one file per kind; returns
     ``{kind: model}``.  An empty basis leaves nothing to learn: no model."""
-    if training_data.n_coeffs == 0:
+    if training_data.coefficients.shape[1] == 0:
         return {}
     outdir = _output_dir(config)
     models = fit_surrogates(config, training_data)

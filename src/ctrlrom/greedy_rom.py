@@ -6,7 +6,9 @@ residual estimate, solves that parameter exactly, and extends an orthonormal
 basis with the new final-time adjoint.  An iteration costs one exact solve
 plus 2 sweeps per *distinct* system operator in the training set, since
 parameters that change only the right-hand side share the images of the
-basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).
+basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  It
+leaves ``TrainingData`` for the surrogates: two arrays, the training
+parameters and their final reduced coefficients, as the file stores them.
 
 Online, the reduced coefficients for a new parameter solve a small
 normal-equation system built from the images of the basis vectors under the
@@ -15,6 +17,7 @@ rigorous error estimate at no extra cost.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,28 +74,18 @@ class ReducedBasis:
 
 @dataclass
 class TrainingData:
-    """Parameter/coefficient pairs collected by the offline greedy loop."""
+    """What the greedy leaves for the surrogates to learn, as its file holds
+    it: the training parameters as the rows of ``parameters`` (P, p), their
+    reduced coefficients as the rows of ``coefficients`` (P, N = 0 if none)."""
 
-    pairs: list  # list of (parameter array, coefficient array) tuples
+    parameters: np.ndarray
+    coefficients: np.ndarray
 
     def __post_init__(self):
-        sizes = {len(c) for _, c in self.pairs}
-        if len(sizes) > 1:
-            raise ValueError("all coefficient arrays must share the basis size")
-
-    @property
-    def n_pairs(self):
-        return len(self.pairs)
-
-    @property
-    def n_coeffs(self):
-        return len(self.pairs[0][1]) if self.pairs else 0
-
-    def inputs(self):
-        return np.array([np.atleast_1d(mu) for mu, _ in self.pairs])
-
-    def targets(self):
-        return np.array([c for _, c in self.pairs])
+        mu, alpha = self.parameters, self.coefficients
+        if mu.ndim != 2 or alpha.ndim != 2 or len(mu) != len(alpha):
+            raise ValueError(f"parameters of shape {mu.shape} and coefficients of shape "
+                             f"{alpha.shape} do not pair up")
 
 
 @dataclass
@@ -177,8 +170,8 @@ def greedy_offline(
 
     Each history row of a selection also records the true error of the
     selected parameter before its snapshot joins the basis.  Returns the
-    reduced basis and the final coefficients of every training
-    parameter.  Ties in the argmax resolve to the smallest training index.
+    reduced basis and the ``TrainingData`` of the training set with its
+    final coefficients.  Ties in the argmax resolve to the smallest training index.
     """
     if not train_set:
         raise ValueError("training set must not be empty")
@@ -218,7 +211,7 @@ def greedy_offline(
         )
 
     def make_training_data():
-        return TrainingData(pairs=[(train_set[i], coeffs[i].copy()) for i in range(n_train)])
+        return TrainingData(np.array(train_set), np.array(coeffs))
 
     while True:
         candidates = np.where(selectable)[0]
@@ -298,6 +291,11 @@ def load_basis(path):
     """Read a reduced basis written by ``save_basis``."""
     _, meta, arrays = persist.read(path, "basis")
     try:
+        if not isinstance(meta["family"], str):
+            raise ValueError(f"family {meta['family']!r} is not a string")
+        for name in ("ip_weight", "tolerance"):
+            if not (persist.is_real(meta[name]) and math.isfinite(meta[name])):
+                raise ValueError(f"{name} {meta[name]!r} is not a finite real number")
         return ReducedBasis(
             vectors=list(arrays["vectors"]),
             selected_params=list(arrays["selected_params"]),
@@ -307,22 +305,26 @@ def load_basis(path):
         )
     except KeyError as exc:
         raise ValueError(f"{path}: basis record lacks {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_training_data(data, path):
-    """Write training pairs as a ``persist`` file of kind ``training_data``:
-    the parameters as a (P, p) and the coefficients as a (P, N) array."""
-    persist.write(path, "training_data", {},
-                  {"parameters": data.inputs(), "coefficients": data.targets()})
+    """Write training data as a ``persist`` file of kind ``training_data``
+    holding its two arrays under their field names."""
+    persist.write(path, "training_data", {}, vars(data))
 
 
 def load_training_data(path, n_params):
-    """Read training pairs written by ``save_training_data``; the parameters
+    """Read training data written by ``save_training_data``; the parameters
     must have ``n_params`` components."""
     _, _, arrays = persist.read(path, "training_data")
-    mu, alpha = arrays.get("parameters"), arrays.get("coefficients")
-    if mu is None or alpha is None or mu.ndim != 2 or alpha.ndim != 2 or len(mu) != len(alpha):
-        raise ValueError(f"{path}: parameters and coefficients do not pair up")
-    if mu.shape[1] != n_params:
-        raise ValueError(f"{path}: file holds {mu.shape[1]} parameter columns, expected {n_params}")
-    return TrainingData(pairs=list(zip(mu, alpha)))
+    try:
+        data = TrainingData(arrays["parameters"], arrays["coefficients"])
+        if data.parameters.shape[1] != n_params:
+            raise ValueError(f"{data.parameters.shape[1]} parameter columns, expected {n_params}")
+        return data
+    except KeyError as exc:
+        raise ValueError(f"{path}: training data record lacks {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

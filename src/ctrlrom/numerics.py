@@ -129,14 +129,6 @@ def gram_schmidt_extend(basis, v, ip, drop_tol=1e-10):
     return w / norm_w
 
 
-def trapezoid_quad(values, dt):
-    """Trapezoidal rule on a uniform grid with spacing ``dt``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] < 2:
-        raise ValueError("need at least two nodes for trapezoidal quadrature")
-    return float(dt * (values[0] / 2.0 + values[1:-1].sum() + values[-1] / 2.0))
-
-
 def svd_singular_values(columns, ip):
     """Singular values (descending) of a snapshot set in the weighted norm.
 

@@ -20,6 +20,11 @@ MAGIC = b"CTRLROM1"
 _LENGTH = struct.Struct("<I")
 
 
+def is_real(value):
+    """Whether a header value is a JSON number: an ``int`` or ``float``, not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def write(path, kind, meta, arrays):
     """Write ``arrays`` (name -> array) under a header of ``kind`` and ``meta``."""
     arrays = {name: np.asarray(a, dtype="<f8") for name, a in arrays.items()}

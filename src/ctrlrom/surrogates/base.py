@@ -5,6 +5,13 @@ import numpy as np
 from .. import persist
 
 
+def sq_dists(x, y):
+    """Squared Euclidean distances between the rows of x and the rows of y."""
+    x = np.atleast_2d(x)
+    y = np.atleast_2d(y)
+    return np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+
+
 class CoefficientRegressor:
     """Base class for surrogates mapping parameters to reduced coefficients.
 
@@ -63,7 +70,11 @@ class CoefficientRegressor:
         model = cls()
         try:
             for name in ("n_outputs", *cls.hyper_parameters):
-                setattr(model, name, meta[name])
+                value = meta[name]
+                if not (persist.is_real(value) and (name != "n_outputs" or isinstance(value, int))):
+                    raise ValueError(f"{path}: {cls.kind} record holds {name} = {value!r}, not "
+                                     f"{'an integer' if name == 'n_outputs' else 'a real number'}")
+                setattr(model, name, value)
             model._set_arrays(arrays)
         except KeyError as exc:
             raise ValueError(f"{path}: {cls.kind} record lacks {exc}") from None

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ..errors import TrainingError
-from .base import CoefficientRegressor
+from .base import CoefficientRegressor, sq_dists
 
 C_BOUNDS = (0.1, 1000.0)
 L_BOUNDS = (0.001, 1000.0)
@@ -25,14 +25,8 @@ LINE_ITERS = 20  # golden-section steps per coordinate search
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _sq_dists(x, y):
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
-    return np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-
-
 def rbf_kernel(x, y, c, length):
-    return c * np.exp(-_sq_dists(x, y) / (2.0 * length**2))
+    return c * np.exp(-sq_dists(x, y) / (2.0 * length**2))
 
 
 def log_marginal_likelihood(X, Y, c, length):
@@ -86,8 +80,7 @@ class GPRegressor(CoefficientRegressor):
         self.y_std = None
 
     def fit(self, data):
-        X = data.inputs()
-        Y = data.targets()
+        X, Y = data.parameters, data.coefficients
         if X.shape[0] < 2:
             raise ValueError("need at least two training pairs")
         self.y_mean = Y.mean(axis=0)
@@ -118,7 +111,7 @@ class GPRegressor(CoefficientRegressor):
 
         self.c = float(10.0 ** best[1][0])
         self.length = float(10.0 ** best[1][1])
-        self.inputs = np.ascontiguousarray(X)
+        self.inputs = np.array(X, order="C")  # a copy: the model must not alias its data
         K = rbf_kernel(X, X, self.c, self.length) + JITTER * np.eye(X.shape[0])
         self.alpha = np.ascontiguousarray(cho_solve(cho_factor(K, lower=True), Yn))
         self.n_outputs = Y.shape[1]

@@ -13,17 +13,14 @@ values on the diagonal, which the stopping tolerance ``P_GREEDY_TOL`` =
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .base import CoefficientRegressor
+from .base import CoefficientRegressor, sq_dists
 
 P_GREEDY_TOL = 1e-10  # selection stops once the squared power is below this everywhere
 
 
 def gaussian_kernel(x, y, beta):
     """k(x, y) = exp(-(beta * |x - y|)^2) for rows of x against rows of y."""
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
-    sq = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-    return np.exp(-(beta**2) * sq)
+    return np.exp(-(beta**2) * sq_dists(x, y))
 
 
 class KernelRegressor(CoefficientRegressor):
@@ -48,8 +45,7 @@ class KernelRegressor(CoefficientRegressor):
         interpolant is extended alongside, so the training residual at the
         selected centers vanishes by construction.
         """
-        X = data.inputs()
-        Y = data.targets()
+        X, Y = data.parameters, data.coefficients
         if X.shape[0] < 1:
             raise ValueError("need at least one training pair")
         n = X.shape[0]

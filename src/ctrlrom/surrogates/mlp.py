@@ -146,8 +146,7 @@ class MLPRegressor(CoefficientRegressor):
         return best, diverged
 
     def fit(self, data):
-        X = data.inputs()
-        Y = data.targets()
+        X, Y = data.parameters, data.coefficients
         n = X.shape[0]
         if n < 5:
             raise ValueError("need at least five training pairs")

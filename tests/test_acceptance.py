@@ -267,7 +267,7 @@ def test_criterion_9_property_suite():
 
     # kernel interpolation at the selected centers
     model = KernelRegressor(beta=0.5).fit(data)
-    targets = {tuple(mu): y for mu, y in data.pairs}
+    targets = {tuple(mu): y for mu, y in zip(data.parameters, data.coefficients)}
     worst_interp = 0.0
     for center in model.centers:
         err = np.max(np.abs(model.predict(center) - targets[tuple(center)]))

@@ -76,16 +76,18 @@ class TestSolveExact:
         assert counts["solve_adjoint_backward"] == counts["solve_state_forward"]
         assert counts["solve_adjoint_backward"] >= sol.cg_iters + 2
 
-    def test_first_order_optimality(self, rng):
-        # J(u* + eps v) >= J(u*) - 1e-6 for random directions
+    def test_first_order_optimality(self):
+        # the exact discrete optimum minimizes the cost: J(u* + eps v) >= J(u*)
+        # for random directions, with no slack
         fam = build_heat_family(n_y=5, T=0.1, steps_per_point=10)
         inst = fam.build([1.5, 1.0])
         sol = solve_exact(inst)
         j_star = evaluate_cost(inst, sol.control)
-        for _ in range(5):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
             v = rng.standard_normal(sol.control.shape)
             for eps in (1e-3, -1e-3):
-                assert evaluate_cost(inst, sol.control + eps * v) >= j_star - 1e-6
+                assert evaluate_cost(inst, sol.control + eps * v) >= j_star
 
 
 class TestErrorEstimator:

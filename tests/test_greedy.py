@@ -10,6 +10,7 @@ from ctrlrom.errors import GreedyBudgetError
 from ctrlrom.exact_solver import error_estimator, solve_exact
 from ctrlrom.greedy_rom import (
     ReducedBasis,
+    TrainingData,
     greedy_offline,
     load_basis,
     load_training_data,
@@ -158,8 +159,8 @@ class TestGreedyOffline:
         train = sample_grid(fam.domain, [3, 3])
         basis, data = greedy_offline(fam, train, tol=1e-8, cg_tol=1e-13)
         assert basis.size == 1
-        assert data.n_pairs == 9
-        assert data.n_coeffs == 1
+        assert len(data.parameters) == 9
+        assert data.coefficients.shape[1] == 1
 
     def test_estimator_drops_below_tolerance(self):
         fam, train = small_train_set()
@@ -183,7 +184,7 @@ class TestGreedyOffline:
         np.testing.assert_array_equal(
             np.array(basis_a.selected_params), np.array(basis_b.selected_params)
         )
-        np.testing.assert_array_equal(data_a.targets(), data_b.targets())
+        np.testing.assert_array_equal(data_a.coefficients, data_b.coefficients)
 
     def test_history_monotone_enough(self):
         fam, train = small_train_set()
@@ -197,7 +198,7 @@ class TestGreedyOffline:
         with pytest.raises(GreedyBudgetError) as err:
             greedy_offline(fam, train, tol=1e-14, max_basis=2, cg_tol=1e-13)
         assert err.value.basis.size == 2
-        assert err.value.training_data.n_coeffs == 2
+        assert err.value.training_data.coefficients.shape[1] == 2
 
     def test_true_error_tracking(self):
         fam, train = small_train_set((3, 3))
@@ -219,7 +220,7 @@ class TestGreedyOffline:
         fam, train = small_train_set((2, 2))
         basis, data = greedy_offline(fam, train, tol=1e9, cg_tol=1e-13)
         assert basis.size == 0
-        assert data.n_coeffs == 0
+        assert data.coefficients.shape[1] == 0
         assert len(basis.history) == 1
 
     def test_orthonormality_of_result(self):
@@ -278,7 +279,7 @@ class TestOperatorGroups:
         basis, data = greedy_offline(family, sample_grid(family.domain, counts),
                                      tol=tol, cg_tol=cg_tol)
         assert basis.size >= 2
-        for mu, coeffs in data.pairs:
+        for mu, coeffs in zip(data.parameters, data.coefficients):
             expected, _ = project_coefficients(family.build(mu), basis)
             assert np.array_equal(coeffs, expected)
 
@@ -332,6 +333,17 @@ class TestRomOnline:
         np.testing.assert_allclose(sol.phiT_approx, basis.combine(sol.coeffs), atol=1e-14)
 
 
+class TestTrainingData:
+    @pytest.mark.parametrize("parameters, coefficients", [
+        (np.zeros(3), np.zeros((3, 1))),
+        (np.zeros((3, 2)), np.zeros(3)),
+        (np.zeros((3, 2)), np.zeros((2, 1))),
+    ], ids=["1-d parameters", "1-d coefficients", "row counts differ"])
+    def test_rejected_at_construction(self, parameters, coefficients):
+        with pytest.raises(ValueError, match="do not pair up"):
+            TrainingData(parameters, coefficients)
+
+
 class TestPersistence:
     def test_basis_round_trip(self, tmp_path):
         fam, train = small_train_set((3, 3))
@@ -354,8 +366,8 @@ class TestPersistence:
         path = tmp_path / "training.bin"
         save_training_data(data, path)
         loaded = load_training_data(path, n_params=2)
-        np.testing.assert_array_equal(loaded.inputs(), data.inputs())
-        np.testing.assert_array_equal(loaded.targets(), data.targets())
+        np.testing.assert_array_equal(loaded.parameters, data.parameters)
+        np.testing.assert_array_equal(loaded.coefficients, data.coefficients)
 
     @pytest.mark.parametrize("change", CORRUPTIONS)
     def test_truncated_or_extended_files_rejected(self, tmp_path, change):

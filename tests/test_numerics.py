@@ -7,7 +7,6 @@ from ctrlrom.numerics import (
     cg_solve,
     gram_schmidt_extend,
     svd_singular_values,
-    trapezoid_quad,
 )
 
 
@@ -124,25 +123,6 @@ class TestGramSchmidt:
         for i, phi in enumerate(basis):
             for j, psi in enumerate(basis):
                 assert abs(ip.dot(phi, psi) - (1.0 if i == j else 0.0)) <= 1e-10
-
-
-class TestTrapezoid:
-    def test_constant(self):
-        values = np.ones(11)
-        assert trapezoid_quad(values, 0.1) == pytest.approx(1.0, rel=1e-14)
-
-    def test_exact_for_linear(self):
-        t = np.linspace(0.0, 1.0, 7)
-        assert trapezoid_quad(t, t[1] - t[0]) == pytest.approx(0.5, rel=1e-14)
-
-    def test_quadratic_converges_to_third(self):
-        # oracle: closed form int_0^1 t^2 dt = 1/3
-        t = np.linspace(0.0, 1.0, 1001)
-        assert trapezoid_quad(t**2, t[1] - t[0]) == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-    def test_needs_two_nodes(self):
-        with pytest.raises(ValueError):
-            trapezoid_quad(np.array([1.0]), 0.1)
 
 
 class TestSingularValues:

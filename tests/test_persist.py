@@ -64,6 +64,28 @@ class TestCorruptFiles:
             LOADERS[kind](path)
 
 
+class TestHeaderTypes:
+    @pytest.mark.parametrize("kind, change", [
+        ("basis", {"family": 3}),
+        ("basis", {"ip_weight": "0.1"}),
+        ("basis", {"ip_weight": float("nan")}),
+        ("basis", {"tolerance": "x"}),
+        ("basis", {"tolerance": float("inf")}),
+        ("kernel", {"n_outputs": "6"}),
+        ("kernel", {"n_outputs": True}),
+        ("kernel", {"beta": "0.5"}),
+        ("gpr", {"length": None}),
+        ("mlp", {"n_outputs": 6.0}),
+    ], ids=["family-int", "ip_weight-str", "ip_weight-nan", "tolerance-str", "tolerance-inf",
+            "n_outputs-str", "n_outputs-bool", "beta-str", "length-null", "n_outputs-float"])
+    def test_wrong_type_rejected(self, saved_files, tmp_path, kind, change):
+        _, meta, arrays = persist.read(saved_files[kind], kind)
+        bad = tmp_path / f"bad_{kind}.bin"
+        persist.write(bad, kind, {**meta, **change}, arrays)
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            LOADERS[kind](bad)
+
+
 class TestContainer:
     def test_round_trip_keeps_order_shapes_and_bits(self, tmp_path, rng):
         arrays = {"b": rng.standard_normal((3, 2)), "a": np.zeros((0, 4)), "c": np.array(1.5)}

@@ -35,7 +35,7 @@ def make_training_data(n=12, p=2, N=3, seed=0, mapping=None):
     if mapping is None:
         C = rng.standard_normal((N, p))
         mapping = lambda x: C @ x
-    return TrainingData(pairs=[(x, np.asarray(mapping(x), dtype=float)) for x in X])
+    return TrainingData(X, np.array([mapping(x) for x in X], dtype=float))
 
 
 def reference_restart(layer_sizes, Xt, Yt, Xv, Yv, rng, max_steps):
@@ -76,7 +76,7 @@ def reference_restart(layer_sizes, Xt, Yt, Xv, Yv, rng, max_steps):
 def reference_fit(model, data):
     """The restarts of ``model`` trained one after another; returns the
     winner's params and the step each restart stopped at."""
-    X, Y = data.inputs(), data.targets()
+    X, Y = data.parameters, data.coefficients
     n = X.shape[0]
     y_min = Y.min(axis=0)
     y_span = Y.max(axis=0) - y_min
@@ -111,8 +111,8 @@ class LookupModel(CoefficientRegressor):
 
     def __init__(self, data, perturbation=None):
         super().__init__(seed=0)
-        self.table = [(np.atleast_1d(mu), c) for mu, c in data.pairs]
-        self.n_outputs = data.n_coeffs
+        self.table = list(zip(data.parameters, data.coefficients))
+        self.n_outputs = data.coefficients.shape[1]
         self.perturbation = perturbation
 
     def fit(self, data):
@@ -130,14 +130,14 @@ class LookupModel(CoefficientRegressor):
 
 class TestKernelRegressor:
     def test_single_pair_interpolates(self):
-        data = TrainingData(pairs=[(np.array([0.3, 0.7]), np.array([2.0, -1.0]))])
+        data = TrainingData(np.array([[0.3, 0.7]]), np.array([[2.0, -1.0]]))
         model = KernelRegressor(beta=0.5).fit(data)
         np.testing.assert_allclose(model.predict([0.3, 0.7]), [2.0, -1.0], atol=1e-12)
 
     def test_interpolation_at_selected_centers(self):
         data = make_training_data(n=15, seed=1)
         model = KernelRegressor(beta=1.0).fit(data)
-        targets = {tuple(mu): y for mu, y in data.pairs}
+        targets = {tuple(mu): y for mu, y in zip(data.parameters, data.coefficients)}
         for center in model.centers:
             err = np.max(np.abs(model.predict(center) - targets[tuple(center)]))
             assert err <= 1e-8
@@ -152,7 +152,7 @@ class TestKernelRegressor:
     def test_power_function_below_tolerance_elsewhere(self):
         data = make_training_data(n=25, seed=3)
         model = KernelRegressor(beta=1.0).fit(data)
-        values = model.power_function(data.inputs())
+        values = model.power_function(data.parameters)
         assert np.max(values) <= P_GREEDY_TOL
 
     def test_save_load_round_trip(self, tmp_path):
@@ -161,7 +161,7 @@ class TestKernelRegressor:
         path = tmp_path / "kernel.bin"
         model.save(path)
         loaded = load_model(path)
-        for mu, _ in data.pairs:
+        for mu in data.parameters:
             np.testing.assert_array_equal(loaded.predict(mu), model.predict(mu))
 
 
@@ -169,8 +169,8 @@ class TestGPRegressor:
     def test_near_interpolation_at_training_inputs(self):
         data = make_training_data(n=10, seed=5)
         model = GPRegressor(restarts=5, seed=0).fit(data)
-        std = data.targets().std(axis=0)
-        for mu, y in data.pairs:
+        std = data.coefficients.std(axis=0)
+        for mu, y in zip(data.parameters, data.coefficients):
             err = np.abs(model.predict(mu) - y)
             assert np.all(err <= 1e-2 * np.maximum(std, 1e-12) + 1e-8)
 
@@ -183,18 +183,18 @@ class TestGPRegressor:
         # audit: the fitted likelihood should dominate random draws
         data = make_training_data(n=14, seed=7)
         model = GPRegressor(restarts=5, seed=0).fit(data)
-        Y = data.targets()
+        Y = data.coefficients
         Yn = (Y - Y.mean(axis=0)) / np.where(Y.std(axis=0) > 0, Y.std(axis=0), 1.0)
-        best = log_marginal_likelihood(data.inputs(), Yn, model.c, model.length)
+        best = log_marginal_likelihood(data.parameters, Yn, model.c, model.length)
         rng = np.random.default_rng(123)
         for _ in range(20):
             c = 10.0 ** rng.uniform(-1, 3)
             length = 10.0 ** rng.uniform(-3, 3)
-            probe = log_marginal_likelihood(data.inputs(), Yn, c, length)
+            probe = log_marginal_likelihood(data.parameters, Yn, c, length)
             assert best >= probe - 1e-9
 
     def test_needs_two_pairs(self):
-        data = TrainingData(pairs=[(np.array([0.1]), np.array([1.0]))])
+        data = TrainingData(np.array([[0.1]]), np.array([[1.0]]))
         with pytest.raises(ValueError):
             GPRegressor().fit(data)
 
@@ -204,7 +204,7 @@ class TestGPRegressor:
         path = tmp_path / "gpr.bin"
         model.save(path)
         loaded = load_model(path)
-        for mu, _ in data.pairs:
+        for mu in data.parameters:
             np.testing.assert_array_equal(loaded.predict(mu), model.predict(mu))
 
 
@@ -240,7 +240,7 @@ class TestMLPRegressor:
         model = MLPRegressor(seed=0, restarts=3).fit(data)
         # validation split: last entries of the seed-shuffled ordering
         order = np.random.default_rng(0).permutation(8)
-        val = [data.pairs[i] for i in order[-1:]]
+        val = zip(data.parameters[order[-1:]], data.coefficients[order[-1:]])
         mse = np.mean([np.sum((model.predict(mu) - y) ** 2) for mu, y in val])
         assert mse <= 1e-3
 
@@ -369,7 +369,7 @@ class TestMLPRegressor:
         path = tmp_path / "mlp.bin"
         model.save(path)
         loaded = load_model(path)
-        for mu, _ in data.pairs:
+        for mu in data.parameters:
             np.testing.assert_array_equal(loaded.predict(mu), model.predict(mu))
 
 
@@ -434,7 +434,7 @@ class TestSurrogateOnline:
     def test_lookup_model_matches_rom_online(self, heat_pipeline):
         fam, basis, data = heat_pipeline
         model = LookupModel(data)
-        mu = data.pairs[5][0]
+        mu = data.parameters[5]
         inst = fam.build(mu)
         via_surrogate = surrogate_online(inst, basis, model, certify=True)
         via_rom = rom_online(inst, basis, certify=True)
@@ -481,7 +481,7 @@ class TestTransferBound:
         delta = np.linspace(-0.01, 0.01, basis.size)
         model = LookupModel(data, perturbation=delta)
         floor = 1e-12  # the CG accuracy of the reference solves
-        for mu, alpha in data.pairs[:4]:
+        for mu, alpha in zip(data.parameters[:4], data.coefficients[:4]):
             inst = fam.build(mu)
             _, eps = project_coefficients(inst, basis)
             assert eps <= 1e-5  # the greedy tolerance of heat_pipeline
