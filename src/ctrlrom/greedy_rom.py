@@ -7,13 +7,17 @@ basis with the new final-time adjoint.  An iteration costs one exact solve
 plus 2 sweeps per *distinct* system operator in the training set, since
 parameters that change only the right-hand side share the images of the
 basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  It
-leaves ``TrainingData`` for the surrogates: two arrays, the training
-parameters and their final reduced coefficients, as the file stores them.
+leaves two records of arrays, as their files store them: the
+``ReducedBasis``, whose vectors are the rows of an (N, n) array grown by one
+row per selection, and ``TrainingData`` for the surrogates, the training
+parameters and their final reduced coefficients.
 
 Online, the reduced coefficients for a new parameter solve a small
 normal-equation system built from the images of the basis vectors under the
 parameter's system operator; the residual of that projection doubles as a
-rigorous error estimate at no extra cost.
+rigorous error estimate at no extra cost.  Every expansion in the basis, the
+g-rom's and each surrogate's, multiplies through the C-ordered (n, N) array
+``ReducedBasis.matrix()``.
 """
 
 import logging
@@ -43,33 +47,36 @@ class GreedyStep:
 
 @dataclass
 class ReducedBasis:
-    """Orthonormal final-time adjoint snapshots with their provenance."""
+    """Orthonormal final-time adjoint snapshots with their provenance, as the
+    file holds them: the rows of ``vectors`` (N, n), orthonormal in ``ip``,
+    and the parameters they came from, ``selected_params`` (N, p)."""
 
-    vectors: list  # list of 1-d arrays, pairwise orthonormal w.r.t. ip
-    selected_params: list
+    vectors: np.ndarray
+    selected_params: np.ndarray
     ip: InnerProduct
     tolerance_used: float
     family_name: str = ""
     history: list = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.vectors) != len(self.selected_params):
-            raise ValueError("one selected parameter per basis vector required")
+        V, mu = self.vectors, self.selected_params
+        if V.ndim != 2 or mu.ndim != 2 or len(V) != len(mu):
+            raise ValueError(f"vectors of shape {V.shape} and selected parameters of shape "
+                             f"{mu.shape} do not pair up")
 
     @property
     def size(self):
         return len(self.vectors)
 
     def matrix(self):
-        """Basis vectors as the columns of an (n, N) array."""
-        return np.column_stack(self.vectors) if self.vectors else np.zeros((0, 0))
+        """The basis vectors as the columns of a C-ordered (n, N) array.
 
-    def combine(self, coeffs):
-        """Linear combination sum_i coeffs[i] * vectors[i]."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.size,):
-            raise ValueError(f"expected {self.size} coefficients, got {coeffs.shape}")
-        return self.matrix() @ coeffs
+        Every expansion ``matrix() @ coeffs`` multiplies through it, because
+        BLAS rounds ``vectors.T @ coeffs`` or ``coeffs @ vectors`` otherwise:
+        the certificates cancel O(1) terms down to tiny residuals and would
+        move with those bits.
+        """
+        return np.ascontiguousarray(self.vectors.T)
 
 
 @dataclass
@@ -198,17 +205,8 @@ def greedy_offline(
     eta = np.array([ip.norm(r) for r in rhs])
     selectable = np.ones(n_train, dtype=bool)
 
-    vectors, selected, history = [], [], []
-
-    def make_basis():
-        return ReducedBasis(
-            vectors=list(vectors),
-            selected_params=list(selected),
-            ip=ip,
-            tolerance_used=tol,
-            family_name=family.name,
-            history=list(history),
-        )
+    basis = ReducedBasis(np.zeros((0, instances[0].n)), np.zeros((0, len(train_set[0]))),
+                         ip=ip, tolerance_used=tol, family_name=family.name)
 
     def make_training_data():
         return TrainingData(np.array(train_set), np.array(coeffs))
@@ -217,28 +215,24 @@ def greedy_offline(
         candidates = np.where(selectable)[0]
         if candidates.size == 0:
             log.warning("greedy ran out of selectable training parameters")
-            history.append(GreedyStep(len(vectors), float(np.max(eta))))
+            basis.history.append(GreedyStep(basis.size, float(np.max(eta))))
             break
         j = candidates[int(np.argmax(eta[candidates]))]
         if eta[j] <= tol:
-            history.append(GreedyStep(len(vectors), float(eta[j])))
+            basis.history.append(GreedyStep(basis.size, float(eta[j])))
             break
-        if len(vectors) >= max_basis:
-            history.append(GreedyStep(len(vectors), float(eta[j])))
+        if basis.size >= max_basis:
+            basis.history.append(GreedyStep(basis.size, float(eta[j])))
             raise GreedyBudgetError(
                 f"estimated error {eta[j]:.3e} still above tol {tol:.3e} "
                 f"at max_basis = {max_basis}",
-                make_basis(),
+                basis,
                 make_training_data(),
             )
 
         exact = solve_exact(instances[j], cg_tol=cg_tol, max_iter=cg_max_iter)
-        if vectors:
-            approx = np.column_stack(vectors) @ coeffs[j]
-        else:
-            approx = np.zeros(instances[j].n)
-        true_err = ip.norm(exact.phiT - approx)
-        new_vec = gram_schmidt_extend(vectors, exact.phiT, ip, drop_tol=drop_tol)
+        true_err = ip.norm(exact.phiT - basis.matrix() @ coeffs[j])
+        new_vec = gram_schmidt_extend(basis.vectors, exact.phiT, ip, drop_tol=drop_tol)
         if new_vec is None:
             log.warning(
                 "snapshot for parameter %s is linearly dependent on the basis; "
@@ -247,9 +241,9 @@ def greedy_offline(
             )
             selectable[j] = False
             continue
-        history.append(GreedyStep(len(vectors), float(eta[j]), train_set[j], true_err))
-        vectors.append(new_vec)
-        selected.append(train_set[j])
+        basis.history.append(GreedyStep(basis.size, float(eta[j]), train_set[j], true_err))
+        basis.vectors = np.vstack([basis.vectors, new_vec])
+        basis.selected_params = np.vstack([basis.selected_params, train_set[j]])
 
         for g, members in enumerate(groups):
             x_new = dynamics.apply_system_operator(instances[members[0]], new_vec)
@@ -257,7 +251,7 @@ def greedy_offline(
             for i in members:
                 coeffs[i], eta[i] = _project(columns[g], rhs[i], ip)
 
-    return make_basis(), make_training_data()
+    return basis, make_training_data()
 
 
 def rom_online(inst, basis, certify=True):
@@ -271,7 +265,7 @@ def rom_online(inst, basis, certify=True):
     if basis.size == 0:
         raise ValueError("reduced basis is empty")
     coeffs, eta = project_coefficients(inst, basis)
-    phi = basis.combine(coeffs)
+    phi = basis.matrix() @ coeffs
     control = dynamics.solve_adjoint_backward(inst, phi)
     est = eta if certify else None
     return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
@@ -283,8 +277,8 @@ def save_basis(basis, path):
     (N, p) array, family name, tolerance and inner-product weight as meta."""
     meta = {"family": basis.family_name, "tolerance": basis.tolerance_used,
             "ip_weight": basis.ip.weight}
-    persist.write(path, "basis", meta, {"vectors": basis.matrix().T,
-                                        "selected_params": np.array(basis.selected_params)})
+    persist.write(path, "basis", meta, {"vectors": basis.vectors,
+                                        "selected_params": basis.selected_params})
 
 
 def load_basis(path):
@@ -297,8 +291,8 @@ def load_basis(path):
             if not (persist.is_real(meta[name]) and math.isfinite(meta[name])):
                 raise ValueError(f"{name} {meta[name]!r} is not a finite real number")
         return ReducedBasis(
-            vectors=list(arrays["vectors"]),
-            selected_params=list(arrays["selected_params"]),
+            vectors=arrays["vectors"],
+            selected_params=arrays["selected_params"],
             ip=InnerProduct(weight=meta["ip_weight"]),
             tolerance_used=meta["tolerance"],
             family_name=meta["family"],

@@ -52,7 +52,7 @@ def surrogate_online(inst, basis, model, certify=True):
     if inst.parameter is None:
         raise ValueError("instance does not carry its parameter; build it from a family")
     coeffs = model.predict(inst.parameter)
-    phi = basis.combine(coeffs)
+    phi = basis.matrix() @ coeffs
     if certify:
         est, control, _ = error_estimator(inst, phi)
     else:

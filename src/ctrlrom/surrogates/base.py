@@ -17,15 +17,18 @@ class CoefficientRegressor:
 
     Subclasses implement ``fit(training_data)`` and ``_predict_one(x)``, set
     ``kind`` and name the fitted attributes ``predict`` reads: scalars in
-    ``hyper_parameters``, arrays in ``fitted_arrays``.  ``save`` writes
-    those and ``load`` sets them on a model built with default arguments.
-    Prediction is deterministic after fitting and returns an array whose
-    length matches the basis size the model was trained against.
+    ``hyper_parameters``, arrays in ``fitted_arrays`` with the shape of each.
+    A shape's entries are sizes or the names ``"n_outputs"``, ``"inputs"``
+    (the parameter dimension) and ``"rows"`` (the model's own row count,
+    such as its centers).  ``save`` writes those and ``load`` checks and
+    sets them on a model built with default arguments.  Prediction is
+    deterministic after fitting and returns an array whose length matches
+    the basis size the model was trained against.
     """
 
     kind = "abstract"
     hyper_parameters = ()
-    fitted_arrays = ()
+    fitted_arrays = {}
 
     def __init__(self, seed=0):
         self.seed = int(seed)
@@ -75,6 +78,14 @@ class CoefficientRegressor:
                     raise ValueError(f"{path}: {cls.kind} record holds {name} = {value!r}, not "
                                      f"{'an integer' if name == 'n_outputs' else 'a real number'}")
                 setattr(model, name, value)
+            sizes = {"n_outputs": model.n_outputs}  # the named sizes, bound where first met
+            for name, shape in cls.fitted_arrays.items():
+                found = arrays[name].shape
+                expected = tuple(sizes.setdefault(d, n) if isinstance(d, str) else d
+                                 for d, n in zip(shape, found))
+                if len(found) != len(shape) or found != expected:
+                    raise ValueError(f"{path}: {cls.kind} array {name} has shape {found}, not "
+                                     f"{shape} with n_outputs = {model.n_outputs}")
             model._set_arrays(arrays)
         except KeyError as exc:
             raise ValueError(f"{path}: {cls.kind} record lacks {exc}") from None

@@ -65,7 +65,8 @@ def _golden_max(f, lo, hi):
 class GPRegressor(CoefficientRegressor):
     kind = "gpr"
     hyper_parameters = ("c", "length")
-    fitted_arrays = ("inputs", "alpha", "y_mean", "y_std")
+    fitted_arrays = {"inputs": ("rows", "inputs"), "alpha": ("rows", "n_outputs"),
+                     "y_mean": ("n_outputs",), "y_std": ("n_outputs",)}
 
     def __init__(self, restarts=10, seed=0):
         super().__init__(seed=seed)

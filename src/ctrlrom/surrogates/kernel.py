@@ -26,7 +26,8 @@ def gaussian_kernel(x, y, beta):
 class KernelRegressor(CoefficientRegressor):
     kind = "kernel"
     hyper_parameters = ("beta",)
-    fitted_arrays = ("centers", "newton_triangle", "coefficients")
+    fitted_arrays = {"centers": ("rows", "inputs"), "newton_triangle": ("rows", "rows"),
+                     "coefficients": ("rows", "n_outputs")}
 
     def __init__(self, beta=1.0, seed=0):
         super().__init__(seed=seed)

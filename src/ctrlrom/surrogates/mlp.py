@@ -82,9 +82,20 @@ def loss_gradients(params, X, Y):
     return grads
 
 
+def _param_shapes(layer_sizes):
+    """The file's ``param_<i>``: weights (out, in) and biases (out,)
+    alternating, layer by layer, as ``init_params`` lays them out."""
+    shapes = {}
+    for i, (n_in, n_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
+        shapes[f"param_{2 * i}"] = (n_out, n_in)
+        shapes[f"param_{2 * i + 1}"] = (n_out,)
+    return shapes
+
+
 class MLPRegressor(CoefficientRegressor):
     kind = "mlp"
-    fitted_arrays = ("y_min", "y_span")
+    fitted_arrays = {"y_min": ("n_outputs",), "y_span": ("n_outputs",),
+                     **_param_shapes(("inputs", *HIDDEN_LAYERS, "n_outputs"))}
 
     def __init__(self, seed=0, restarts=10, max_steps=5000):
         super().__init__(seed=seed)
@@ -180,9 +191,9 @@ class MLPRegressor(CoefficientRegressor):
         return out[0] * np.where(self.y_span > 0.0, self.y_span, 1.0) + self.y_min
 
     def _arrays(self):
-        # weights and biases alternate, layer by layer
-        return {**super()._arrays(), **{f"param_{i}": p for i, p in enumerate(self.params)}}
+        return {"y_min": self.y_min, "y_span": self.y_span,
+                **{f"param_{i}": p for i, p in enumerate(self.params)}}
 
     def _set_arrays(self, arrays):
-        super()._set_arrays(arrays)
-        self.params = [a for name, a in arrays.items() if name.startswith("param_")]
+        self.y_min, self.y_span = arrays["y_min"], arrays["y_span"]
+        self.params = [arrays[name] for name in self.fitted_arrays if name.startswith("param_")]

@@ -99,11 +99,11 @@ class TestProjectCoefficients:
         inst = fam.build([1.5, 0.75])
         sol = solve_exact(inst, cg_tol=1e-13)
         vec = gram_schmidt_extend([], sol.phiT, inst.ip)
-        basis = ReducedBasis(vectors=[vec], selected_params=[np.array([1.5, 0.75])],
+        basis = ReducedBasis(vectors=vec[None, :], selected_params=np.array([[1.5, 0.75]]),
                              ip=inst.ip, tolerance_used=0.0)
         coeffs, eta = project_coefficients(inst, basis)
         assert eta <= 1e-8
-        assert inst.ip.norm(basis.combine(coeffs) - sol.phiT) <= 1e-8
+        assert inst.ip.norm(basis.matrix() @ coeffs - sol.phiT) <= 1e-8
 
     def test_identity_operator_reduces_to_orthogonal_expansion(self, rng):
         # M = 0 turns the system operator into the identity, so the
@@ -114,7 +114,7 @@ class TestProjectCoefficients:
         vectors = []
         for _ in range(3):
             vectors.append(gram_schmidt_extend(vectors, rng.standard_normal(6), inst.ip))
-        basis = ReducedBasis(vectors=vectors, selected_params=[np.zeros(1)] * 3,
+        basis = ReducedBasis(vectors=np.array(vectors), selected_params=np.zeros((3, 1)),
                              ip=inst.ip, tolerance_used=0.0)
         target = rng.standard_normal(6)
         coeffs, _ = project_coefficients(inst, basis, rhs=target)
@@ -147,8 +147,8 @@ class TestProjectCoefficients:
 
     def test_empty_basis_rejected(self):
         fam = small_heat_family()
-        basis = ReducedBasis(vectors=[], selected_params=[], ip=InnerProduct(1.0),
-                             tolerance_used=0.0)
+        basis = ReducedBasis(vectors=np.zeros((0, 8)), selected_params=np.zeros((0, 2)),
+                             ip=InnerProduct(1.0), tolerance_used=0.0)
         with pytest.raises(ValueError):
             project_coefficients(fam.build([1.0, 1.0]), basis)
 
@@ -181,9 +181,7 @@ class TestGreedyOffline:
         fam, train = small_train_set()
         basis_a, data_a = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-13)
         basis_b, data_b = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-13)
-        np.testing.assert_array_equal(
-            np.array(basis_a.selected_params), np.array(basis_b.selected_params)
-        )
+        np.testing.assert_array_equal(basis_a.selected_params, basis_b.selected_params)
         np.testing.assert_array_equal(data_a.coefficients, data_b.coefficients)
 
     def test_history_monotone_enough(self):
@@ -298,8 +296,8 @@ class TestRomOnline:
         # coefficients, where the cached estimate is its own norm
         fam = small_heat_family()
         inst = fam.build([1.2, 1.2])
-        basis = ReducedBasis(vectors=[e / np.sqrt(inst.ip.weight) for e in np.eye(8)[:2]],
-                             selected_params=[np.zeros(2)] * 2, ip=inst.ip,
+        basis = ReducedBasis(vectors=np.eye(8)[:2] / np.sqrt(inst.ip.weight),
+                             selected_params=np.zeros((2, 2)), ip=inst.ip,
                              tolerance_used=0.0)
         states = images(inst, basis)
         rhs = rhs_vector(inst)
@@ -330,7 +328,7 @@ class TestRomOnline:
         fam, train = small_train_set((2, 2))
         basis, _ = greedy_offline(fam, train, tol=1e-3, cg_tol=1e-13)
         sol = rom_online(fam.build([1.5, 1.0]), basis, certify=False)
-        np.testing.assert_allclose(sol.phiT_approx, basis.combine(sol.coeffs), atol=1e-14)
+        np.testing.assert_array_equal(sol.phiT_approx, basis.matrix() @ sol.coeffs)
 
 
 class TestTrainingData:
@@ -346,19 +344,25 @@ class TestTrainingData:
 
 class TestPersistence:
     def test_basis_round_trip(self, tmp_path):
+        # tol = 1e9 stops the greedy at once: an empty basis of the n = 8
+        # states and p = 2 parameter components
         fam, train = small_train_set((3, 3))
-        basis, _ = greedy_offline(fam, train, tol=1e-4, cg_tol=1e-13)
-        path = tmp_path / "basis.crb"
-        save_basis(basis, path)
-        loaded = load_basis(path)
-        assert loaded.size == basis.size
-        assert loaded.family_name == basis.family_name
-        assert loaded.tolerance_used == basis.tolerance_used
-        assert loaded.ip.weight == basis.ip.weight
-        np.testing.assert_array_equal(loaded.matrix(), basis.matrix())
-        np.testing.assert_array_equal(
-            np.array(loaded.selected_params), np.array(basis.selected_params)
-        )
+        for tol in (1e-4, 1e9):
+            basis, _ = greedy_offline(fam, train, tol=tol, cg_tol=1e-13)
+            path = tmp_path / "basis.crb"
+            save_basis(basis, path)
+            loaded = load_basis(path)
+            assert loaded.size == basis.size
+            assert loaded.family_name == basis.family_name
+            assert loaded.tolerance_used == basis.tolerance_used
+            assert loaded.ip.weight == basis.ip.weight
+            assert loaded.vectors.shape == (basis.size, 8)
+            assert loaded.selected_params.shape == (basis.size, 2)
+            np.testing.assert_array_equal(loaded.vectors, basis.vectors)
+            np.testing.assert_array_equal(loaded.selected_params, basis.selected_params)
+            save_basis(loaded, tmp_path / "again.crb")
+            assert (tmp_path / "again.crb").read_bytes() == path.read_bytes()
+        assert basis.size == 0 and loaded.matrix().shape == (8, 0)
 
     def test_training_data_round_trip(self, tmp_path):
         fam, train = small_train_set((2, 2))

@@ -107,8 +107,33 @@ class TestContainer:
             KernelRegressor.load(saved_files["gpr"])
 
     def test_rows_must_pair_up(self, tmp_path):
-        path = tmp_path / "training_data.bin"
-        persist.write(path, "training_data", {},
-                      {"parameters": np.zeros((4, 2)), "coefficients": np.zeros((3, 5))})
-        with pytest.raises(ValueError, match="do not pair up"):
-            load_training_data(path, n_params=2)
+        basis_meta = {"family": "heat", "tolerance": 1e-4, "ip_weight": 0.1}
+        records = [
+            ("training_data", {}, {"parameters": np.zeros((4, 2)),
+                                   "coefficients": np.zeros((3, 5))}),
+            ("basis", basis_meta, {"vectors": np.zeros(5), "selected_params": np.zeros((5, 2))}),
+            ("basis", basis_meta, {"vectors": np.zeros((5, 6)), "selected_params": np.zeros(5)}),
+            ("basis", basis_meta, {"vectors": np.zeros((4, 6)),
+                                   "selected_params": np.zeros((3, 2))}),
+        ]
+        for i, (kind, meta, arrays) in enumerate(records):
+            path = tmp_path / f"{kind}_{i}.bin"
+            persist.write(path, kind, meta, arrays)
+            with pytest.raises(ValueError, match=f"{re.escape(path.name)}.*do not pair up"):
+                LOADERS[kind](path)
+
+
+class TestArrayShapes:
+    @pytest.mark.parametrize("kind, name", [
+        ("kernel", "coefficients"),
+        ("gpr", "alpha"),
+        ("mlp", "param_7"),  # the output layer's bias
+    ])
+    def test_extra_output_column_rejected(self, saved_files, tmp_path, kind, name):
+        # one more coefficient column than the record's n_outputs
+        _, meta, arrays = persist.read(saved_files[kind], kind)
+        widened = np.concatenate([arrays[name], arrays[name][..., :1]], axis=-1)
+        bad = tmp_path / f"bad_{kind}.bin"
+        persist.write(bad, kind, meta, {**arrays, name: widened})
+        with pytest.raises(ValueError, match=re.escape(bad.name)):
+            LOADERS[kind](bad)

@@ -454,6 +454,19 @@ class TestSurrogateOnline:
             true_err = inst.ip.norm(exact.phiT - sol.phiT_approx)
             assert true_err <= sol.estimated_error * (1 + 1e-6)
 
+    def test_expansion_rounds_as_the_column_stacked_basis(self, heat_pipeline):
+        # the g-rom and the surrogates expand their coefficients bit for bit
+        # as the basis stacked column by column did; a product that rounds
+        # otherwise would re-roll the certificates at the rounding floor
+        fam, basis, data = heat_pipeline
+        model = KernelRegressor(beta=0.5).fit(data)
+        stacked = np.column_stack(list(basis.vectors))
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            inst = fam.build(rng.uniform(fam.domain.lows, fam.domain.highs))
+            for sol in (rom_online(inst, basis), surrogate_online(inst, basis, model)):
+                np.testing.assert_array_equal(sol.phiT_approx, stacked @ sol.coeffs)
+
     def test_size_mismatch_rejected(self, heat_pipeline):
         fam, basis, data = heat_pipeline
         bad = make_training_data(n=6, p=2, N=basis.size + 1, seed=30)
@@ -467,7 +480,7 @@ class TestIsometry:
         _, basis, _ = heat_pipeline
         a = rng.standard_normal(basis.size)
         b = rng.standard_normal(basis.size)
-        lhs = basis.ip.norm(basis.combine(a) - basis.combine(b))
+        lhs = basis.ip.norm(basis.matrix() @ a - basis.matrix() @ b)
         assert abs(lhs - np.linalg.norm(a - b)) <= 1e-10
 
 
