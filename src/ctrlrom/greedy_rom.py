@@ -6,8 +6,11 @@ residual estimate, solves that parameter exactly, and extends an orthonormal
 basis with the new final-time adjoint.  An iteration costs one exact solve
 plus 2 sweeps per *distinct* system operator in the training set, since
 parameters that change only the right-hand side share the images of the
-basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  It
-leaves two records of arrays, as their files store them: the
+basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  Its
+memory follows the distinct operators, not the training parameters: G
+instances plus one, the P right-hand sides and G*n*N image columns, for P
+training parameters, G distinct operators, state dimension n and basis size
+N.  It leaves two records of arrays, as their files store them: the
 ``ReducedBasis``, whose vectors are the rows of an (N, n) array grown by one
 row per selection, and ``TrainingData`` for the surrogates, the training
 parameters and their final reduced coefficients.
@@ -175,6 +178,13 @@ def greedy_offline(
     set (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  The
     right-hand sides take one uncontrolled sweep per distinct operator and x0.
 
+    Each training instance is built once, for its right-hand side and its
+    operator key; only the first instance of each operator stays, and the
+    selected parameter's instance is built again for its exact solve.  The
+    loop thus holds G instances plus one, the P right-hand sides and G*n*N
+    image columns (P training parameters, G distinct operators, state
+    dimension n, basis size N): heat on the 8x8 grid keeps 8 instances, not 64.
+
     Each history row of a selection also records the true error of the
     selected parameter before its snapshot joins the basis.  Returns the
     reduced basis and the ``TrainingData`` of the training set with its
@@ -186,26 +196,28 @@ def greedy_offline(
         raise ValueError("greedy tolerance must be positive")
 
     train_set = [np.atleast_1d(np.asarray(mu, dtype=float)) for mu in train_set]
-    instances = [family.build(mu) for mu in train_set]
-    ip = instances[0].ip
-    n_train = len(train_set)
-    groups = {}  # operator key -> indices of the instances sharing that operator
+    groups = {}  # operator key -> (its first instance, indices sharing that operator)
     free = {}  # (operator key, x0) -> uncontrolled final state
     rhs = []
-    for i, inst in enumerate(instances):
+    for i, mu in enumerate(train_set):
+        inst = family.build(mu)
         key = dynamics.operator_key(inst)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault(key, (inst, []))[1].append(i)
         start = (key, inst.x0.tobytes())
         if start not in free:
             free[start] = dynamics.solve_state_forward(inst, inst.x0)
         rhs.append(inst.apply_M(free[start] - inst.xT))  # as dynamics.rhs_vector
+    del inst  # only the first instance of each operator stays alive
     groups = list(groups.values())
-    columns = [np.zeros((instances[0].n, 0)) for _ in groups]
+    first = groups[0][0]
+    ip = first.ip
+    n_train = len(train_set)
+    columns = [np.zeros((first.n, 0)) for _ in groups]
     coeffs = [np.zeros(0) for _ in range(n_train)]
     eta = np.array([ip.norm(r) for r in rhs])
     selectable = np.ones(n_train, dtype=bool)
 
-    basis = ReducedBasis(np.zeros((0, instances[0].n)), np.zeros((0, len(train_set[0]))),
+    basis = ReducedBasis(np.zeros((0, first.n)), np.zeros((0, len(train_set[0]))),
                          ip=ip, tolerance_used=tol, family_name=family.name)
 
     def make_training_data():
@@ -230,7 +242,7 @@ def greedy_offline(
                 make_training_data(),
             )
 
-        exact = solve_exact(instances[j], cg_tol=cg_tol, max_iter=cg_max_iter)
+        exact = solve_exact(family.build(train_set[j]), cg_tol=cg_tol, max_iter=cg_max_iter)
         true_err = ip.norm(exact.phiT - basis.matrix() @ coeffs[j])
         new_vec = gram_schmidt_extend(basis.vectors, exact.phiT, ip, drop_tol=drop_tol)
         if new_vec is None:
@@ -245,8 +257,8 @@ def greedy_offline(
         basis.vectors = np.vstack([basis.vectors, new_vec])
         basis.selected_params = np.vstack([basis.selected_params, train_set[j]])
 
-        for g, members in enumerate(groups):
-            x_new = dynamics.apply_system_operator(instances[members[0]], new_vec)
+        for g, (inst, members) in enumerate(groups):
+            x_new = dynamics.apply_system_operator(inst, new_vec)
             columns[g] = np.column_stack([columns[g], x_new])
             for i in members:
                 coeffs[i], eta[i] = _project(columns[g], rhs[i], ip)

@@ -101,7 +101,6 @@ class GPRegressor(CoefficientRegressor):
 
         best = (-np.inf, None)
         for log_c, log_l in starts:
-            value = lml(log_c, log_l)
             for _ in range(SWEEPS):
                 log_c, value = _golden_max(lambda t: lml(t, log_l), *log_c_box)
                 log_l, value = _golden_max(lambda t: lml(log_c, t), *log_l_box)

@@ -17,9 +17,20 @@ one gradient evaluation and one update per step serve every restart still
 training.  ``forward``, ``loss_gradients`` and ``mse_loss`` take one network
 or such a stack; a slice of a stacked result equals the single network's
 result bit for bit, so every restart follows the arithmetic it would follow
-alone.  Working memory grows as restarts x (parameters + pairs x 50 floats),
-about 5 MB at the default 10 restarts.
+alone.
+
+A fit allocates its arrays once, sized for every restart: restarts x (6 x
+parameters + pairs x (4 x 50 + outputs)) floats, for the weights, their best
+copy, Adam's two moments, the gradients and one temporary, and for the three
+hidden activations, one product delta @ W and the output of every training
+pair; about 3.7 MB at 10 restarts, 57 pairs and 9 outputs (heat at paper
+scale).  A step writes into them in place or through ``out=``, with the
+ufuncs and the order of the allocating expressions, so the models stay bit
+for bit the same; a restart that stops moves the remaining rows to the front
+and the stack shrinks to views of its first rows.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,18 +54,47 @@ def init_params(layer_sizes, rng):
     return params
 
 
-def forward(params, X):
+class Work(NamedTuple):
+    """Buffers that ``forward`` and ``loss_gradients`` write into instead of
+    allocating: each layer's output (pairs, out), which the backward pass
+    overwrites with the layer's delta, the product delta @ W of every hidden
+    layer (one array per width, shared by the layers of that width) and the
+    gradients, shaped like the parameters.  Every array leads with the stack
+    axis, so ``rows(k)`` serves the first k networks of the stack."""
+
+    outputs: list
+    products: list
+    grads: list
+
+    @classmethod
+    def allocate(cls, params, pairs):
+        stack = params[0].shape[:-2]
+        widths = [W.shape[-2] for W in params[::2]]
+        by_width = {w: np.empty((*stack, pairs, w)) for w in widths[:-1]}
+        return cls([np.empty((*stack, pairs, w)) for w in widths],
+                   [by_width[w] for w in widths[:-1]],
+                   [np.empty_like(p) for p in params])
+
+    def rows(self, k):
+        return Work(*([a[:k] for a in arrays] for arrays in self))
+
+
+def forward(params, X, work=None):
     """Forward pass; returns output and per-layer activations for backprop.
 
     The inputs ``X`` (pairs, in) are shared by every network of a stack.
+    The activations are written into ``work.outputs`` if given.
     """
+    n_layers = len(params) // 2
+    outputs = [None] * n_layers if work is None else work.outputs
     activations = [X]
     a = X
-    n_layers = len(params) // 2
     for i in range(n_layers):
         W, b = params[2 * i], params[2 * i + 1]
-        z = np.matmul(a, W.swapaxes(-1, -2)) + b[..., None, :]
-        a = z if i == n_layers - 1 else np.tanh(z)
+        a = np.matmul(a, W.swapaxes(-1, -2), out=outputs[i])
+        np.add(a, b[..., None, :], out=a)
+        if i < n_layers - 1:
+            np.tanh(a, out=a)
         activations.append(a)
     return a, activations
 
@@ -66,19 +106,34 @@ def mse_loss(params, X, Y):
     return float(loss) if loss.ndim == 0 else loss
 
 
-def loss_gradients(params, X, Y):
-    """Backpropagation of the mean squared error."""
-    out, activations = forward(params, X)
+def loss_gradients(params, X, Y, work=None):
+    """Backpropagation of the mean squared error.
+
+    With ``work`` (a ``Work`` sized for ``params`` and ``X``) every array is
+    written into its buffers and nothing is allocated; the arithmetic is the
+    same either way.  The activations are overwritten by the deltas.
+    """
+    out, activations = forward(params, X, work)
     n_layers = len(params) // 2
-    grads = [None] * len(params)
-    delta = 2.0 * (out - Y) / X.shape[0]
+    if work is None:
+        grads, products = [None] * len(params), [None] * n_layers
+    else:
+        grads, products = work.grads, work.products
+    delta = np.subtract(out, Y, out=out)
+    np.multiply(2.0, delta, out=delta)
+    np.divide(delta, X.shape[0], out=delta)
     for i in range(n_layers - 1, -1, -1):
         W = params[2 * i]
         a_prev = activations[i]
-        grads[2 * i] = np.matmul(delta.swapaxes(-1, -2), a_prev)
-        grads[2 * i + 1] = delta.sum(axis=-2)
+        grads[2 * i] = np.matmul(delta.swapaxes(-1, -2), a_prev, out=grads[2 * i])
+        grads[2 * i + 1] = np.sum(delta, axis=-2, out=grads[2 * i + 1])
         if i > 0:
-            delta = np.matmul(delta, W) * (1.0 - activations[i] ** 2)
+            # a_prev has served its gradient: it turns into 1 - a_prev^2,
+            # then into the next delta
+            product = np.matmul(delta, W, out=products[i - 1])
+            np.square(a_prev, out=a_prev)
+            np.subtract(1.0, a_prev, out=a_prev)
+            delta = np.multiply(product, a_prev, out=a_prev)
     return grads
 
 
@@ -112,12 +167,14 @@ class MLPRegressor(CoefficientRegressor):
     def _train(self, layer_sizes, Xt, Yt, Xv, Yv):
         """Adam on every restart at once; returns the restarts' weights at
         their best validation loss, stacked, and which restarts diverged."""
-        inits = [init_params(layer_sizes, np.random.default_rng(self.seed * 100003 + r))
-                 for r in range(self.restarts)]
+        inits = (init_params(layer_sizes, np.random.default_rng(self.seed * 100003 + r))
+                 for r in range(self.restarts))
         params = [np.stack(layer) for layer in zip(*inits)]
         best = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
+        temp = [np.empty_like(p) for p in params]
+        work = Work.allocate(params, len(Xt))
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         active = np.arange(self.restarts)  # the restart of each row of the stack
         best_val = np.full(self.restarts, np.inf)
@@ -125,14 +182,23 @@ class MLPRegressor(CoefficientRegressor):
         diverged = np.zeros(self.restarts, dtype=bool)
         checks = 0
         for step in range(1, self.max_steps + 1):
-            grads = loss_gradients(params, Xt, Yt)
+            grads = loss_gradients(params, Xt, Yt, work)
             lr = LEARNING_RATE * 0.5 ** (step // 1000)
-            for i, g in enumerate(grads):
-                m[i] = beta1 * m[i] + (1 - beta1) * g
-                v[i] = beta2 * v[i] + (1 - beta2) * g**2
-                m_hat = m[i] / (1 - beta1**step)
-                v_hat = v[i] / (1 - beta2**step)
-                params[i] = params[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
+            # p = p - lr m_hat / (sqrt(v_hat) + eps), in place; g turns into
+            # the v terms and temp into the m terms
+            for p, m_i, v_i, g, t in zip(params, m, v, grads, temp):
+                m_i *= beta1
+                m_i += np.multiply(g, 1 - beta1, out=t)
+                v_i *= beta2
+                v_i += np.multiply(np.square(g, out=g), 1 - beta2, out=g)
+                np.divide(m_i, 1 - beta1**step, out=t)
+                np.divide(v_i, 1 - beta2**step, out=g)
+                np.sqrt(g, out=g)
+                g += eps
+                t *= lr
+                t /= g
+                p -= t
             # validation is polled on a coarser grid than the optimizer steps
             # so the patience window spans a meaningful stretch of training;
             # the last step is checked too, so no step goes unused
@@ -144,16 +210,23 @@ class MLPRegressor(CoefficientRegressor):
             improved = finite & (val < best_val[active])
             best_val[active[improved]] = val[improved]
             best_check[active[improved]] = checks
-            for kept, p in zip(best, params):
-                kept[active[improved]] = p[improved]
+            for row in np.flatnonzero(improved):
+                for kept, p in zip(best, params):
+                    kept[active[row]] = p[row]
             diverged[active[~finite]] = True
-            # a restart leaves the stack where it diverges or runs out of patience
+            # a restart leaves the stack where it diverges or runs out of
+            # patience; the rows that stay move to the front of every array
             stays = finite & (checks - best_check[active] <= PATIENCE)
             if not stays.all():
                 active = active[stays]
                 if active.size == 0:
                     break
-                params, m, v = ([a[stays] for a in arrays] for arrays in (params, m, v))
+                for row, kept_row in enumerate(np.flatnonzero(stays)):
+                    for a in (*params, *m, *v):
+                        a[row] = a[kept_row]
+                k = active.size
+                params, m, v, temp = ([a[:k] for a in arrays] for arrays in (params, m, v, temp))
+                work = work.rows(k)
         return best, diverged
 
     def fit(self, data):

@@ -1,5 +1,7 @@
+import gc
 import logging
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -267,6 +269,31 @@ class TestOperatorGroups:
                                   cg_tol=1e-12)
         assert basis.size >= 2
         assert len(free) == expected
+
+    def test_live_instances_follow_distinct_operators(self, monkeypatch):
+        # a 2 x 4 heat grid: 8 parameters, 2 operators; during an exact solve
+        # the greedy holds one instance per operator and the one it solves
+        heat = small_heat_family()
+        built = []
+
+        def builder(mu):
+            inst = heat.builder(mu)
+            built.append(weakref.ref(inst))
+            return inst
+
+        family = ProblemFamily(name=heat.name, domain=heat.domain, builder=builder)
+        live, solve = [], greedy_rom.solve_exact
+
+        def counted_solve(*args, **kwargs):
+            gc.collect()
+            live.append(sum(ref() is not None for ref in built))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(greedy_rom, "solve_exact", counted_solve)
+        basis, _ = greedy_offline(family, sample_grid(family.domain, [2, 4]), tol=1e-6,
+                                  cg_tol=1e-13)
+        assert len(built) >= 8 and len(live) == basis.size >= 2
+        assert max(live) <= 3
 
     @pytest.mark.parametrize("family, counts, tol, cg_tol", [
         (build_heat_family(n_y=12), [3, 4], 1e-5, 1e-12),

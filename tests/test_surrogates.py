@@ -1,5 +1,10 @@
 import itertools
+import os
+import platform
 import re
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -339,6 +344,43 @@ class TestMLPRegressor:
 
         monkeypatch.setattr(mlp, "loss_gradients", counted)
         return calls
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="MALLOC_MMAP_THRESHOLD_ is a glibc setting")
+    def test_steps_allocate_no_fresh_pages(self, tmp_path):
+        # with glibc's mmap threshold fixed at 64 KB every larger array a step
+        # allocated would be mapped afresh and fault its pages in; the fit's
+        # buffers are allocated once, so a step faults almost none
+        data = make_training_data(n=30)
+        np.save(tmp_path / "X.npy", data.parameters)
+        np.save(tmp_path / "Y.npy", data.coefficients)
+        child = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            from ctrlrom.greedy_rom import TrainingData
+            from ctrlrom.surrogates import MLPRegressor, mlp
+
+            data = TrainingData(np.load(sys.argv[1]), np.load(sys.argv[2]))
+            MLPRegressor(restarts=10, max_steps=500).fit(data)  # warm-up
+            steps, gradients = [], mlp.loss_gradients
+
+            def counted(*args):
+                steps.append(None)
+                return gradients(*args)
+
+            mlp.loss_gradients = counted
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            MLPRegressor(restarts=10, max_steps=500).fit(data)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, len(steps))
+        """)
+        env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="65536",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        result = subprocess.run([sys.executable, "-c", child, str(tmp_path / "X.npy"),
+                                 str(tmp_path / "Y.npy")], env=env, capture_output=True,
+                                text=True, check=True, timeout=300)
+        faults, steps = map(int, result.stdout.split())
+        assert steps > 0
+        assert faults < 10 * steps
 
     def test_one_gradient_evaluation_per_step_for_all_restarts(self, monkeypatch):
         calls = self.count_gradient_calls(monkeypatch)
