@@ -43,13 +43,19 @@ class InnerProduct:
 _TOL_MARGIN = 1e-3
 
 
-def cg_solve(apply, b, ip, tol=1e-12, max_iter=None):
+def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, precondition=None):
     """Conjugate gradients for a self-adjoint positive-definite operator.
 
     ``apply`` maps a vector to a vector and must be linear, self-adjoint and
     positive-definite with respect to ``ip``.  Iterates from zero until the
     residual norm (in ``ip``) drops to ``tol * (1 - _TOL_MARGIN)``; returns
     ``(x, n_iter, residual_norm)``.
+
+    ``precondition``, if given, maps a residual r to z = P^{-1} r for a
+    preconditioner P that is self-adjoint and positive-definite in ``ip``;
+    the search directions then follow z, and <r, z> replaces <r, r> in the
+    recurrence.  ``None`` runs plain CG.  Either way the stopping criterion
+    reads the residual of the unpreconditioned system.
 
     The recurrence residual drifts away from the true residual near the
     round-off floor, so whenever it signals convergence the true residual
@@ -58,9 +64,11 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None):
     the stopping criterion on the recomputed residual.
 
     Raises ConvergenceError carrying the best iterate if ``max_iter`` is
-    exhausted first.  Since the weight is a scalar multiple of the identity,
-    the iterates coincide with Euclidean CG, but running all inner products
-    through ``ip`` keeps the stopping criterion in the problem norm.
+    exhausted first, or if the operator or the preconditioner turns out not
+    to be positive-definite (p'Ap <= 0 or r'z <= 0).  Since the weight is a
+    scalar multiple of the identity, the iterates coincide with Euclidean
+    CG, but running all inner products through ``ip`` keeps the stopping
+    criterion in the problem norm.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -68,6 +76,19 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None):
         max_iter = 10 * n
     if not tol > 0.0:
         raise ValueError("cg tolerance must be positive")
+
+    def direction(r):
+        """The preconditioned residual z and <r, z>, which must be positive."""
+        if precondition is None:
+            return r, ip.dot(r, r)
+        z = precondition(r)
+        rz = ip.dot(r, z)
+        if not rz > 0.0:
+            raise ConvergenceError(
+                f"preconditioner not positive-definite along the residual (r'z = {rz:.3e})",
+                best_x, best_res, iters,
+            )
+        return z, rz
 
     target = tol * (1.0 - _TOL_MARGIN)
     x = np.zeros(n)
@@ -86,8 +107,8 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None):
                 f"(best verified residual {best_res:.3e})",
                 best_x, best_res, max_iter,
             )
-        p = r.copy()
-        rs = ip.dot(r, r)
+        z, rs = direction(r)
+        p = z.copy()
         while iters < max_iter:
             Ap = apply(p)
             iters += 1
@@ -103,8 +124,8 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None):
             r = r - alpha * Ap
             if ip.norm(r) <= target:
                 break  # verify against the recomputed residual
-            rs_new = ip.dot(r, r)
-            p = r + (rs_new / rs) * p
+            z, rs_new = direction(r)
+            p = z + (rs_new / rs) * p
             rs = rs_new
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,6 +26,8 @@ from ctrlrom.exact_solver import (
 from ctrlrom.system import build_heat_family, build_wave_family
 
 from conftest import make_instance, scalar_instance
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestSolveExact:
@@ -88,6 +95,62 @@ class TestSolveExact:
             v = rng.standard_normal(sol.control.shape)
             for eps in (1e-3, -1e-3):
                 assert evaluate_cost(inst, sol.control + eps * v) >= j_star
+
+
+class TestNystromPreconditioner:
+    @pytest.mark.parametrize("mu", [3.0, 6.5, 10.0])
+    def test_cuts_small_wave_iterations_fourfold(self, mu):
+        inst = build_wave_family(n_y=20).build([mu])
+        cg_tol = 1e-9
+        plain = solve_exact(inst, cg_tol=cg_tol, preconditioned=False)
+        sol = solve_exact(inst, cg_tol=cg_tol)
+        assert 4 * sol.cg_iters <= plain.cg_iters
+        assert error_estimator(inst, sol.phiT)[0] <= cg_tol
+
+    def test_records_sketch_rank(self):
+        # the rank doubles from 8 while the sketch's smallest eigenvalue
+        # exceeds the unit shift, up to half the state dimension; plain CG
+        # and a state too small to sketch record 0
+        wave = build_wave_family(n_y=20).build([6.5])
+        assert solve_exact(wave, cg_tol=1e-9).sketch_rank == 20
+        assert solve_exact(wave, cg_tol=1e-9, preconditioned=False).sketch_rank == 0
+        heat = build_heat_family(n_y=40, T=0.1, steps_per_point=10).build([1.5, 1.0])
+        assert solve_exact(heat).sketch_rank == 8
+        assert solve_exact(scalar_instance()).sketch_rank == 0
+
+    def test_rank_deficient_sketch_does_not_raise(self):
+        # only the first state is controlled, so the Gramian has rank 1 and
+        # the sketch's 8 x 8 core is singular up to rounding
+        n = 20
+        inst = make_instance(-np.diag(np.arange(1.0, n + 1)), np.eye(n, 1), np.ones(n),
+                             np.zeros(n), 10.0 * np.eye(n), [[0.1]], n_t=32)
+        sol = solve_exact(inst, cg_tol=1e-12)
+        assert sol.sketch_rank == 8
+        assert error_estimator(inst, sol.phiT)[0] <= 1e-12
+        plain = solve_exact(inst, cg_tol=1e-12, preconditioned=False)
+        assert inst.ip.norm(sol.phiT - plain.phiT) <= 2e-12
+
+    def test_results_do_not_depend_on_blas_threads(self):
+        # BLAS reads its thread count once, at load, so each count runs in
+        # a fresh interpreter
+        script = (
+            "import hashlib\n"
+            "from ctrlrom.exact_solver import solve_exact\n"
+            "from ctrlrom.system import build_heat_family, build_wave_family\n"
+            "for inst, tol in ((build_wave_family(n_y=40).build([6.5]), 1e-9),\n"
+            "                  (build_heat_family(n_y=100).build([1.5, 1.0]), 1e-12)):\n"
+            "    print(hashlib.sha256(solve_exact(inst, cg_tol=tol).phiT.tobytes()).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("2", "1"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
 
 class TestErrorEstimator:

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ctrlrom import dynamics, greedy_rom
+from ctrlrom import dynamics, exact_solver, greedy_rom
 from ctrlrom.dynamics import apply_system_operator, operator_key, rhs_vector
 from ctrlrom.errors import GreedyBudgetError
 from ctrlrom.exact_solver import error_estimator, solve_exact
@@ -222,6 +222,16 @@ class TestGreedyOffline:
         assert basis.size == 0
         assert data.coefficients.shape[1] == 0
         assert len(basis.history) == 1
+
+    def test_snapshots_are_solved_without_preconditioner(self, monkeypatch):
+        # the snapshots stay plain CG, so the basis keeps its bits
+        def no_sketch(inst):
+            raise AssertionError("the greedy built a Nystrom sketch")
+
+        monkeypatch.setattr(exact_solver, "nystrom_preconditioner", no_sketch)
+        fam, train = small_train_set()
+        basis, _ = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-13)
+        assert basis.size >= 2
 
     def test_orthonormality_of_result(self):
         fam, train = small_train_set()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctrlrom.errors import ConvergenceError
 from ctrlrom.numerics import (
+    _TOL_MARGIN,
     InnerProduct,
     cg_solve,
     gram_schmidt_extend,
@@ -93,6 +96,125 @@ class TestCgSolve:
         assert err.value.residual_norm == pytest.approx(
             ip.norm(b - A @ err.value.best_iterate), rel=1e-6
         )
+
+
+def reference_cg(apply, b, ip, tol=1e-12, max_iter=None):
+    """``cg_solve`` as it was before it took a preconditioner, verbatim: the
+    reference its ``precondition=None`` path must match bit for bit."""
+    b = np.asarray(b, dtype=float)
+    n = b.shape[0]
+    if max_iter is None:
+        max_iter = 10 * n
+    target = tol * (1.0 - _TOL_MARGIN)
+    x = np.zeros(n)
+    best_x, best_res = x.copy(), np.inf
+    iters = 0
+    while True:
+        r = b.copy() if iters == 0 else b - apply(x)
+        res_norm = ip.norm(r)
+        if res_norm < best_res:
+            best_x, best_res = x.copy(), res_norm
+        if res_norm <= target:
+            return x, iters, res_norm
+        if iters >= max_iter:
+            raise ConvergenceError("max_iter", best_x, best_res, max_iter)
+        p = r.copy()
+        rs = ip.dot(r, r)
+        while iters < max_iter:
+            Ap = apply(p)
+            iters += 1
+            pAp = ip.dot(p, Ap)
+            if pAp <= 0.0:
+                raise ConvergenceError("p'Ap <= 0", best_x, best_res, iters)
+            alpha = rs / pAp
+            x = x + alpha * p
+            r = r - alpha * Ap
+            if ip.norm(r) <= target:
+                break
+            rs_new = ip.dot(r, r)
+            p = r + (rs_new / rs) * p
+            rs = rs_new
+
+
+def outcome(solve, *args, **kwargs):
+    """A solver's ``(x, iterations, residual)``, also when it raises
+    ConvergenceError, with a flag telling which."""
+    try:
+        x, iters, res = solve(*args, **kwargs)
+        return x, iters, res, False
+    except ConvergenceError as err:
+        return err.best_iterate, err.iterations, err.residual_norm, True
+
+
+def spd_system(seed, n, log_cond):
+    """A symmetric positive-definite matrix with condition number 10**log_cond
+    and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = (Q * np.logspace(0.0, log_cond, n)) @ Q.T
+    return 0.5 * (A + A.T), rng.standard_normal(n)
+
+
+def counting(A):
+    """``v -> A v`` and the list its calls append to."""
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return A @ v
+
+    return apply, calls
+
+
+class TestPreconditionedCg:
+    @settings(max_examples=60, deadline=None)
+    @example(seed=1, n=40, log_cond=6.0, weight=1.0, log_tol=-10.0)  # three restarts
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           log_cond=st.floats(0.0, 10.0), weight=st.floats(0.01, 10.0),
+           log_tol=st.floats(-12.0, -4.0))
+    def test_no_preconditioner_is_todays_cg_bitwise(self, seed, n, log_cond, weight, log_tol):
+        # ill-conditioned systems at tight tolerances restart from the
+        # recomputed residual; the apply counts compare those restarts too
+        A, b = spd_system(seed, n, log_cond)
+        ip, tol = InnerProduct(weight=weight), 10.0**log_tol
+        apply, calls = counting(A)
+        ref_apply, ref_calls = counting(A)
+        x, iters, res, raised = outcome(cg_solve, apply, b, ip, tol=tol, precondition=None)
+        ref_x, ref_iters, ref_res, ref_raised = outcome(reference_cg, ref_apply, b, ip, tol=tol)
+        assert (raised, iters, res, len(calls)) == (ref_raised, ref_iters, ref_res, len(ref_calls))
+        assert x.tobytes() == ref_x.tobytes()
+
+    def test_reference_comparison_covers_restarts(self):
+        # the property's explicit example converges after restarting
+        A, b = spd_system(1, 40, 6.0)
+        apply, calls = counting(A)
+        _, iters, _ = cg_solve(apply, b, InnerProduct(weight=1.0), tol=1e-10)
+        assert len(calls) - iters == 3
+
+    def test_exact_inverse_converges_in_one_iteration(self):
+        A, b = spd_system(3, 30, 8.0)
+        ip = InnerProduct(weight=0.5)
+        x, iters, res = cg_solve(lambda v: A @ v, b, ip, tol=1e-6,
+                                 precondition=lambda r: np.linalg.solve(A, r))
+        assert iters == 1
+        assert res <= 1e-6
+        assert ip.norm(b - A @ x) == res
+
+    def test_indefinite_preconditioner_raises_with_best_iterate(self):
+        # r'z <= 0 stops CG as p'Ap <= 0 does, with the best verified iterate
+        A, b = spd_system(4, 12, 2.0)
+        ip = InnerProduct(weight=2.0)
+        calls = []
+
+        def flips_sign(r):
+            calls.append(1)
+            return r if len(calls) < 3 else -r
+
+        with pytest.raises(ConvergenceError) as err:
+            cg_solve(lambda v: A @ v, b, ip, tol=1e-12, precondition=flips_sign)
+        assert err.value.iterations == 2
+        np.testing.assert_array_equal(err.value.best_iterate, np.zeros(12))
+        assert err.value.residual_norm == ip.norm(b)
 
 
 class TestGramSchmidt:
