@@ -59,13 +59,15 @@ def _report(report):
             else ""
         )
         print(f"  greedy size {step.basis_size:3d}: est max {step.estimated_max_error:.3e}{true_part}")
-    if report.rows:
-        print(f"exact avg runtime: {report.exact_avg_runtime:.4f}s over {len(report.rows)} tests")
-        for s in report.summaries():
+    if len(report.parameters):
+        exact_t = report.runtimes["exact"].mean()
+        print(f"exact avg runtime: {exact_t:.4f}s over {len(report.parameters)} tests")
+        for name, errors in report.errors.items():
+            adjoint, control, runtime = errors[:, 0], errors[:, 2], report.runtimes[name].mean()
             print(
-                f"  {s.name:8s} adjoint max/avg {s.max_adjoint_error:.3e}/{s.avg_adjoint_error:.3e}"
-                f"  control max/avg {s.max_control_error:.3e}/{s.avg_control_error:.3e}"
-                f"  runtime {s.avg_runtime:.4f}s  speedup {s.avg_speedup:.1f}x"
+                f"  {name:8s} adjoint max/avg {adjoint.max():.3e}/{adjoint.mean():.3e}"
+                f"  control max/avg {control.max():.3e}/{control.mean():.3e}"
+                f"  runtime {runtime:.4f}s  speedup {exact_t / runtime:.1f}x"
             )
     for violation in report.invariant_violations:
         print(f"INVARIANT VIOLATION: {violation}", file=sys.stderr)

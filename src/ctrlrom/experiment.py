@@ -4,11 +4,13 @@ once, plus the singular value diagnostic.
 ``offline_stage`` builds the reduced basis on a training grid,
 ``training_stage`` fits the requested surrogates on the coefficients the
 greedy loop collected, and ``online_stage`` compares, at every random test
-parameter, the exact solution against the reduced and learned models,
-recording adjoint errors in the weighted norm, control errors in the
-discrete time-integrated norm, and per-query runtimes.  Each stage writes its
-own files into ``config.output_dir`` and returns its result;
-``run_experiment`` runs the three in order.
+parameter, the exact solution against the reduced and learned models.  Its
+``RunReport`` is the table the error CSV holds: per model, one row per test
+parameter of the adjoint error in the weighted norm, its certified estimate
+and the control error in the discrete time-integrated norm, next to the
+per-query runtimes.  Each stage writes its own files into
+``config.output_dir`` and returns its result; ``run_experiment`` runs the
+three in order.
 """
 
 import configparser
@@ -153,8 +155,9 @@ def load_config(path):
     """Read a config written by ``save_config``.
 
     Keys missing from the file fall back to the per-family defaults of the
-    family named in the file; a file that is not INI, or a section or key
-    that ``save_config`` does not write there, raises ``ValueError``.
+    family named in the file; a file that is not INI, a section or key that
+    ``save_config`` does not write there, or a value that does not parse as
+    its field's type raises ``ValueError`` naming the file, section and key.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -173,7 +176,11 @@ def load_config(path):
             if (section, option) not in keys:
                 raise ValueError(f"{path}: unknown key '{option}' in section [{section}]")
             name = keys[section, option]
-            values[name] = _parse_value(text, getattr(defaults, name))
+            try:
+                values[name] = _parse_value(text, getattr(defaults, name))
+            except ValueError as exc:
+                raise ValueError(f"{path}: key '{option}' in section [{section}]: "
+                                 f"cannot parse {text!r}: {exc}") from exc
     return replace(defaults, **values).validate()
 
 
@@ -209,101 +216,29 @@ def fit_surrogates(config, training_data):
             for kind in config.surrogate_kinds}
 
 
-@dataclass
-class ModelResult:
-    """Errors and runtime of one model at one test parameter."""
-
-    true_adjoint_error: float
-    estimated_error: float
-    control_error: float
-    runtime: float
-
-
-@dataclass
-class TestRow:
-    index: int
-    parameter: np.ndarray
-    exact_runtime: float
-    results: dict  # model name -> ModelResult
-
-
-@dataclass
-class ModelSummary:
-    name: str
-    max_adjoint_error: float
-    avg_adjoint_error: float
-    max_control_error: float
-    avg_control_error: float
-    avg_runtime: float
-    avg_speedup: float
+# the columns of ``RunReport.errors[name]``, in the error CSV's order
+ERROR_COLUMNS = ("true_adjoint_error", "estimated_error", "control_error")
 
 
 @dataclass
 class RunReport:
+    """The online stage's measurements at its T test parameters.
+
+    ``parameters`` is (T, p); ``errors[name]`` is (T, 3) per model, with
+    columns ``ERROR_COLUMNS``; ``runtimes[name]`` is (T,) seconds for
+    ``"exact"`` and each model.  Models are keyed in the CSVs' order.
+    """
+
     config: ExperimentConfig
     greedy_history: list
     basis_size: int
-    model_names: list
-    rows: list = field(default_factory=list)
-    exact_avg_runtime: float = float("nan")
+    parameters: np.ndarray
+    errors: dict
+    runtimes: dict
     invariant_violations: list = field(default_factory=list)
-
-    def summaries(self):
-        out = []
-        for name in self.model_names:
-            adjoint = [r.results[name].true_adjoint_error for r in self.rows]
-            control = [r.results[name].control_error for r in self.rows]
-            runtimes = [r.results[name].runtime for r in self.rows]
-            avg_rt = float(np.mean(runtimes)) if runtimes else float("nan")
-            out.append(
-                ModelSummary(
-                    name=name,
-                    max_adjoint_error=float(np.max(adjoint)) if adjoint else float("nan"),
-                    avg_adjoint_error=float(np.mean(adjoint)) if adjoint else float("nan"),
-                    max_control_error=float(np.max(control)) if control else float("nan"),
-                    avg_control_error=float(np.mean(control)) if control else float("nan"),
-                    avg_runtime=avg_rt,
-                    avg_speedup=self.exact_avg_runtime / avg_rt if runtimes else float("nan"),
-                )
-            )
-        return out
 
     def ok(self):
         return not self.invariant_violations
-
-
-def _evaluate_test_parameter(config, family, basis, models, index, mu):
-    inst = family.build(mu)
-    t0 = time.perf_counter()
-    exact = solve_exact(inst, cg_tol=config.cg_tol, max_iter=_cg_max_iter(config))
-    exact_runtime = time.perf_counter() - t0
-
-    results = {}
-
-    t0 = time.perf_counter()
-    reduced = greedy_rom.rom_online(inst, basis)
-    rom_runtime = time.perf_counter() - t0
-    results["g-rom"] = _model_result(inst, exact, reduced, rom_runtime)
-
-    for kind, model in models.items():
-        t0 = time.perf_counter()
-        sol = surrogates.surrogate_online(inst, basis, model)
-        runtime = time.perf_counter() - t0
-        results[kind] = _model_result(inst, exact, sol, runtime)
-
-    return TestRow(index=index, parameter=np.atleast_1d(mu), exact_runtime=exact_runtime,
-                   results=results)
-
-
-def _model_result(inst, exact, solution, runtime):
-    true_err = inst.ip.norm(exact.phiT - solution.phiT_approx)
-    control_err = dynamics.control_norm_dt(exact.control - solution.control, inst.grid.dt)
-    return ModelResult(
-        true_adjoint_error=true_err,
-        estimated_error=solution.estimated_error,
-        control_error=control_err,
-        runtime=runtime,
-    )
 
 
 def surrogate_path(outdir, kind):
@@ -316,26 +251,24 @@ def _check_invariants(report):
     and at benchmark scale the online runtimes must order as
     surrogates < reduced model < exact solve."""
     slack = 1.0 + 1e-6
-    for row in report.rows:
-        for name, res in row.results.items():
-            if res.true_adjoint_error > res.estimated_error * slack:
-                report.invariant_violations.append(
-                    f"row {row.index} model {name}: true error "
-                    f"{res.true_adjoint_error:.3e} exceeds estimate "
-                    f"{res.estimated_error:.3e}"
-                )
-    if report.rows and report.config.n_y >= 50:
-        summaries = {s.name: s for s in report.summaries()}
-        grom_t = summaries["g-rom"].avg_runtime
-        if grom_t >= report.exact_avg_runtime:
+    names = list(report.errors)
+    errors = np.stack(list(report.errors.values()), axis=1)  # (T, models, 3)
+    for i, m in zip(*np.nonzero(errors[..., 0] > errors[..., 1] * slack)):
+        report.invariant_violations.append(
+            f"row {i} model {names[m]}: true error {errors[i, m, 0]:.3e} exceeds "
+            f"estimate {errors[i, m, 1]:.3e}"
+        )
+    if len(report.parameters) and report.config.n_y >= 50:
+        mean = {name: t.mean() for name, t in report.runtimes.items()}
+        exact_t, grom_t = mean.pop("exact"), mean.pop("g-rom")
+        if grom_t >= exact_t:
             report.invariant_violations.append(
-                f"reduced model ({grom_t:.4f}s) not faster than exact "
-                f"({report.exact_avg_runtime:.4f}s)"
+                f"reduced model ({grom_t:.4f}s) not faster than exact ({exact_t:.4f}s)"
             )
-        for name, summary in summaries.items():
-            if name != "g-rom" and summary.avg_runtime >= grom_t:
+        for name, t in mean.items():
+            if t >= grom_t:
                 report.invariant_violations.append(
-                    f"surrogate {name} ({summary.avg_runtime:.4f}s) not faster "
+                    f"surrogate {name} ({t:.4f}s) not faster "
                     f"than the reduced model ({grom_t:.4f}s)"
                 )
 
@@ -388,22 +321,43 @@ def online_stage(config, basis, models):
     """Evaluate the reduced model and ``models`` on random test parameters
     outside the training grid, one after another in this process, check the
     run's invariants and write the error and timing CSVs; returns the
-    ``RunReport``.  Nothing runs without a basis,
-    and a basis of another family or inner-product weight raises ``ValueError``."""
+    ``RunReport``.  Nothing runs without a basis, and a basis of another
+    family or inner-product weight, or a model fitted to another basis size,
+    raises ``ValueError`` before the first solve."""
     family = build_family(config)
     weight = family.build(family.domain.lows).ip.weight
     if (basis.family_name, basis.ip.weight) != (family.name, weight):
         raise ValueError(f"basis built for {basis.family_name} with inner-product weight "
                          f"{basis.ip.weight!r}, config is {family.name} with weight {weight!r}")
+    for kind, model in models.items():
+        if model.n_outputs != basis.size:
+            raise ValueError(f"{kind} model predicts {model.n_outputs} coefficients but "
+                             f"basis has size {basis.size}")
+    names = ["g-rom", *models]
+    test_set = np.reshape(
+        sample_random(family.domain, config.test_count if basis.size else 0,
+                      seed=config.test_seed, exclude=training_parameters(config, family)),
+        (-1, family.domain.dim))
+    count = len(test_set)
     report = RunReport(config=config, greedy_history=basis.history, basis_size=basis.size,
-                       model_names=["g-rom", *models])
-    if config.test_count > 0 and basis.size > 0:
-        test_set = sample_random(family.domain, config.test_count, seed=config.test_seed,
-                                 exclude=training_parameters(config, family))
-        report.rows = [_evaluate_test_parameter(config, family, basis, models, i, mu)
-                       for i, mu in enumerate(test_set)]
-        report.exact_avg_runtime = float(np.mean([row.exact_runtime for row in report.rows]))
-        _check_invariants(report)
+                       parameters=test_set,
+                       errors={name: np.empty((count, len(ERROR_COLUMNS))) for name in names},
+                       runtimes={name: np.empty(count) for name in ("exact", *names)})
+    for i, mu in enumerate(test_set):
+        inst = family.build(mu)
+        t0 = time.perf_counter()
+        exact = solve_exact(inst, cg_tol=config.cg_tol, max_iter=_cg_max_iter(config))
+        report.runtimes["exact"][i] = time.perf_counter() - t0
+        for name in names:
+            model = models.get(name)
+            t0 = time.perf_counter()
+            sol = (greedy_rom.rom_online(inst, basis) if model is None
+                   else surrogates.surrogate_online(inst, basis, model))
+            report.runtimes[name][i] = time.perf_counter() - t0
+            report.errors[name][i] = (
+                inst.ip.norm(exact.phiT - sol.phiT_approx), sol.estimated_error,
+                dynamics.control_norm_dt(exact.control - sol.control, inst.grid.dt))
+    _check_invariants(report)
     emit_reports(report, _output_dir(config))
     return report
 
@@ -411,11 +365,18 @@ def online_stage(config, basis, models):
 def run_experiment(config):
     """Run the offline, training and online stages in order.
 
-    A failed stage leaves a marker file naming it in the output directory,
-    next to the files of the stages that finished, before the exception
-    propagates.
+    A training grid with fewer pairs than a requested surrogate's fit needs
+    raises ``ValueError`` before anything is written.  A failed stage leaves
+    a marker file naming it in the output directory, next to the files of
+    the stages that finished, before the exception propagates.
     """
-    outdir = _output_dir(config.validate())
+    pairs = math.prod(config.validate().train_grid)
+    for kind in config.surrogate_kinds:
+        needed = surrogates.REGRESSOR_CLASSES[kind].min_pairs
+        if pairs < needed:
+            raise ValueError(f"the {kind} surrogate needs at least {needed} training pairs, "
+                             f"train_grid {_format_value(config.train_grid)} has {pairs}")
+    outdir = _output_dir(config)
     (outdir / FAILURE_MARKER).unlink(missing_ok=True)
     stage = "offline-greedy"
     try:
@@ -489,19 +450,12 @@ def _write_csv(path, header, rows):
 
 def emit_reports(report, outdir):
     """Write the per-parameter error and timing CSVs into ``outdir``."""
-    p = len(report.rows[0].parameter) if report.rows else 0
-    header = ["test_index", *(f"mu_{i}" for i in range(p))]
-    for name in report.model_names:
-        header += [f"{name}_true_adjoint_error", f"{name}_estimated_error",
-                   f"{name}_control_error"]
-    rows = []
-    for row in report.rows:
-        cells = [row.index, *row.parameter]
-        for name in report.model_names:
-            res = row.results[name]
-            cells += [res.true_adjoint_error, res.estimated_error, res.control_error]
-        rows.append(cells)
-    _write_csv(outdir / "analysis_results_errors.csv", header, rows)
+    header = ["test_index", *(f"mu_{i}" for i in range(report.parameters.shape[1])),
+              *(f"{name}_{column}" for name in report.errors for column in ERROR_COLUMNS)]
+    table = np.hstack([report.parameters, *report.errors.values()])
+    _write_csv(outdir / "analysis_results_errors.csv", header,
+               ([i, *row] for i, row in enumerate(table)))
+    mean = {name: t.mean() if t.size else np.nan for name, t in report.runtimes.items()}
+    exact_t = mean.pop("exact")
     _write_csv(outdir / "timings.csv", ["model", "avg_runtime_seconds", "avg_speedup_vs_exact"],
-               [["exact", report.exact_avg_runtime, None],
-                *([s.name, s.avg_runtime, s.avg_speedup] for s in report.summaries())])
+               [["exact", exact_t, None], *([name, t, exact_t / t] for name, t in mean.items())])

@@ -16,7 +16,8 @@ class CoefficientRegressor:
     """Base class for surrogates mapping parameters to reduced coefficients.
 
     Subclasses implement ``fit(training_data)`` and ``_predict_one(x)``, set
-    ``kind`` and name the fitted attributes ``predict`` reads: scalars in
+    ``kind`` and ``min_pairs``, the fewest training pairs ``fit`` accepts,
+    and name the fitted attributes ``predict`` reads: scalars in
     ``hyper_parameters``, arrays in ``fitted_arrays`` with the shape of each.
     A shape's entries are sizes or the names ``"n_outputs"``, ``"inputs"``
     (the parameter dimension) and ``"rows"`` (the model's own row count,

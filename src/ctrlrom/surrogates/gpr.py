@@ -64,6 +64,7 @@ def _golden_max(f, lo, hi):
 
 class GPRegressor(CoefficientRegressor):
     kind = "gpr"
+    min_pairs = 2
     hyper_parameters = ("c", "length")
     fitted_arrays = {"inputs": ("rows", "inputs"), "alpha": ("rows", "n_outputs"),
                      "y_mean": ("n_outputs",), "y_std": ("n_outputs",)}
@@ -82,8 +83,8 @@ class GPRegressor(CoefficientRegressor):
 
     def fit(self, data):
         X, Y = data.parameters, data.coefficients
-        if X.shape[0] < 2:
-            raise ValueError("need at least two training pairs")
+        if X.shape[0] < self.min_pairs:
+            raise ValueError(f"need at least {self.min_pairs} training pairs")
         self.y_mean = Y.mean(axis=0)
         std = Y.std(axis=0)
         self.y_std = np.where(std > 0.0, std, 1.0)

@@ -25,6 +25,7 @@ def gaussian_kernel(x, y, beta):
 
 class KernelRegressor(CoefficientRegressor):
     kind = "kernel"
+    min_pairs = 1
     hyper_parameters = ("beta",)
     fitted_arrays = {"centers": ("rows", "inputs"), "newton_triangle": ("rows", "rows"),
                      "coefficients": ("rows", "n_outputs")}
@@ -47,8 +48,8 @@ class KernelRegressor(CoefficientRegressor):
         selected centers vanishes by construction.
         """
         X, Y = data.parameters, data.coefficients
-        if X.shape[0] < 1:
-            raise ValueError("need at least one training pair")
+        if X.shape[0] < self.min_pairs:
+            raise ValueError(f"need at least {self.min_pairs} training pair")
         n = X.shape[0]
 
         power = np.ones(n)

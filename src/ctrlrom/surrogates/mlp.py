@@ -149,6 +149,7 @@ def _param_shapes(layer_sizes):
 
 class MLPRegressor(CoefficientRegressor):
     kind = "mlp"
+    min_pairs = 5
     fitted_arrays = {"y_min": ("n_outputs",), "y_span": ("n_outputs",),
                      **_param_shapes(("inputs", *HIDDEN_LAYERS, "n_outputs"))}
 
@@ -232,8 +233,8 @@ class MLPRegressor(CoefficientRegressor):
     def fit(self, data):
         X, Y = data.parameters, data.coefficients
         n = X.shape[0]
-        if n < 5:
-            raise ValueError("need at least five training pairs")
+        if n < self.min_pairs:
+            raise ValueError(f"need at least {self.min_pairs} training pairs")
         layer_sizes = [X.shape[1], *HIDDEN_LAYERS, Y.shape[1]]
 
         self.y_min = Y.min(axis=0)

@@ -159,22 +159,22 @@ def test_criterion_4_heat_greedy_reproduction(heat_run):
 
 def test_criterion_5_heat_online_accuracy(heat_run):
     _, report, _ = heat_run
-    summaries = {s.name: s for s in report.summaries()}
-    assert len(report.rows) == 100
-    grom = summaries["g-rom"]
-    assert grom.max_adjoint_error <= 5e-6
-    assert grom.avg_adjoint_error <= 1e-6
-    assert summaries["gpr"].avg_adjoint_error <= 5e-5
-    assert summaries["kernel"].avg_adjoint_error <= 5e-5
-    assert summaries["mlp"].avg_adjoint_error <= 5e-4
+    adjoint = {name: errors[:, 0] for name, errors in report.errors.items()}
+    assert len(report.parameters) == 100
+    grom = adjoint["g-rom"]
+    assert grom.max() <= 5e-6
+    assert grom.mean() <= 1e-6
+    assert adjoint["gpr"].mean() <= 5e-5
+    assert adjoint["kernel"].mean() <= 5e-5
+    assert adjoint["mlp"].mean() <= 5e-4
     # the certified estimate itself stays within the online bound band
-    max_estimated = max(r.results["g-rom"].estimated_error for r in report.rows)
+    max_estimated = report.errors["g-rom"][:, 1].max()
     assert max_estimated <= 5e-6
     print(f"\n[PASS] criterion 5: heat online over 100 unseen parameters — "
-          f"g-rom max/avg {grom.max_adjoint_error:.2e}/{grom.avg_adjoint_error:.2e}, "
-          f"gpr avg {summaries['gpr'].avg_adjoint_error:.2e}, "
-          f"kernel avg {summaries['kernel'].avg_adjoint_error:.2e}, "
-          f"mlp avg {summaries['mlp'].avg_adjoint_error:.2e}")
+          f"g-rom max/avg {grom.max():.2e}/{grom.mean():.2e}, "
+          f"gpr avg {adjoint['gpr'].mean():.2e}, "
+          f"kernel avg {adjoint['kernel'].mean():.2e}, "
+          f"mlp avg {adjoint['mlp'].mean():.2e}")
 
 
 def test_criterion_6_wave_greedy_reproduction(wave_run):
@@ -182,15 +182,15 @@ def test_criterion_6_wave_greedy_reproduction(wave_run):
     # in the package's weighted residual norm (factor 1/sqrt(h)); see README
     cfg, report, elapsed = wave_run
     final = report.greedy_history[-1].estimated_max_error
-    grom = {s.name: s for s in report.summaries()}["g-rom"]
+    grom_max = report.errors["g-rom"][:, 0].max()
     assert 12 <= report.basis_size <= 26
     assert final <= cfg.tolerance
-    assert len(report.rows) == 100
-    assert grom.max_adjoint_error <= 5e-3
+    assert len(report.parameters) == 100
+    assert grom_max <= 5e-3
     assert elapsed < 45 * 60
     print(f"\n[PASS] criterion 6: wave greedy N={report.basis_size} in [12,26], "
           f"terminal estimate {final:.2e} <= {cfg.tolerance:.2e}, g-rom max adjoint "
-          f"error {grom.max_adjoint_error:.2e} <= 5e-3, pipeline {elapsed:.0f}s < 45min")
+          f"error {grom_max:.2e} <= 5e-3, pipeline {elapsed:.0f}s < 45min")
 
 
 def test_criterion_7_singular_value_diagnostics(svd_spectra):
@@ -208,10 +208,9 @@ def test_criterion_7_singular_value_diagnostics(svd_spectra):
 @pytest.mark.parametrize("pipeline", ["heat_run", "wave_run"])
 def test_criterion_8_speedup_ordering(pipeline, request):
     _, report, _ = request.getfixturevalue(pipeline)
-    summaries = {s.name: s for s in report.summaries()}
-    exact_t = report.exact_avg_runtime
-    grom_t = summaries["g-rom"].avg_runtime
-    surrogate_t = max(summaries[k].avg_runtime for k in ("kernel", "gpr", "mlp"))
+    exact_t = report.runtimes["exact"].mean()
+    grom_t = report.runtimes["g-rom"].mean()
+    surrogate_t = max(report.runtimes[k].mean() for k in ("kernel", "gpr", "mlp"))
     assert surrogate_t * 2 <= grom_t
     assert grom_t * 2 <= exact_t
     print(f"\n[PASS] criterion 8 ({pipeline}): surrogate {surrogate_t:.3f}s < "

@@ -8,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctrlrom import experiment
-from ctrlrom.cli import FLAGS, _resolve_config, build_parser, main
+from ctrlrom.cli import FLAGS, _report, _resolve_config, build_parser, main
 from ctrlrom.errors import ConvergenceError, GreedyBudgetError
 from ctrlrom.experiment import (
+    ERROR_COLUMNS,
     ExperimentConfig,
     FAILURE_MARKER,
+    RunReport,
     default_config,
     load_config,
     run_experiment,
@@ -221,6 +223,23 @@ class TestConfigFile:
         assert exit_.value.code == 2
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("section, key, text", [
+        ("family", "n_y", "1.5"),
+        ("greedy", "tolerance", "abc"),
+        ("training", "train_grid", "3 x"),
+    ])
+    def test_unparsable_value_names_file_section_and_key(self, tmp_path, section, key, text):
+        path = tmp_path / "bad_value.ini"
+        path.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: key '{key}' in section [{section}]: cannot parse '{text}'")):
+            load_config(path)
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_:
+            main(["full-run", "--config", str(path), "--output-dir", str(outdir)])
+        assert exit_.value.code == 2
+        assert not outdir.exists()
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(family="advection").validate()
@@ -253,21 +272,45 @@ class TestRunExperiment:
         cfg, outdir, report = completed_run
         lines = (outdir / "analysis_results_errors.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + cfg.test_count
-        assert len(report.rows) == cfg.test_count
+        assert report.parameters.shape == (cfg.test_count, 2)
+        assert list(report.errors) == ["g-rom", *cfg.surrogate_kinds]
+        assert list(report.runtimes) == ["exact", "g-rom", *cfg.surrogate_kinds]
+        for name, errors in report.errors.items():
+            assert errors.shape == (cfg.test_count, len(ERROR_COLUMNS))
+            assert report.runtimes[name].shape == (cfg.test_count,)
 
     def test_reliability_on_emitted_rows(self, completed_run):
         _, _, report = completed_run
         assert report.ok()
-        for row in report.rows:
-            for res in row.results.values():
-                assert res.true_adjoint_error <= res.estimated_error * (1 + 1e-6)
+        for errors in report.errors.values():
+            assert np.all(errors[:, 0] <= errors[:, 1] * (1 + 1e-6))
 
-    def test_summaries_are_means_of_rows(self, completed_run):
-        _, _, report = completed_run
-        for summary in report.summaries():
-            adjoint = [r.results[summary.name].true_adjoint_error for r in report.rows]
-            assert summary.avg_adjoint_error == pytest.approx(float(np.mean(adjoint)))
-            assert summary.max_adjoint_error == pytest.approx(float(np.max(adjoint)))
+    def test_error_csv_holds_the_arrays(self, completed_run):
+        _, outdir, report = completed_run
+        table = np.loadtxt(outdir / "analysis_results_errors.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, 0], np.arange(len(report.parameters)))
+        np.testing.assert_array_equal(
+            table[:, 1:], np.hstack([report.parameters, *report.errors.values()]))
+
+    def test_timings_and_summary_are_means_and_maxima_of_the_arrays(self, completed_run,
+                                                                    capsys):
+        _, outdir, report = completed_run
+        lines = (outdir / "timings.csv").read_text().splitlines()
+        timings = {name: cells for name, *cells in (line.split(",") for line in lines[1:])}
+        assert list(timings) == list(report.runtimes)
+        exact_t = float(np.mean(report.runtimes["exact"]))
+        assert timings.pop("exact") == [repr(exact_t), ""]
+        for name, (runtime, speedup) in timings.items():
+            mean = float(np.mean(report.runtimes[name]))
+            assert float(runtime) == pytest.approx(mean, rel=1e-12)
+            assert float(speedup) == pytest.approx(exact_t / mean, rel=1e-12)
+        assert _report(report) == 0
+        out = capsys.readouterr().out
+        assert f"exact avg runtime: {exact_t:.4f}s over {len(report.parameters)} tests" in out
+        for name, errors in report.errors.items():
+            adjoint, control = list(errors[:, 0]), list(errors[:, 2])
+            assert (f"  {name:8s} adjoint max/avg {max(adjoint):.3e}/{np.mean(adjoint):.3e}"
+                    f"  control max/avg {max(control):.3e}/{np.mean(control):.3e}") in out
 
     def test_rerun_reproduces_error_csv_bytes(self, completed_run, tmp_path):
         cfg, outdir, _ = completed_run
@@ -283,15 +326,31 @@ class TestRunExperiment:
     def test_zero_test_count_gives_history_only(self, tmp_path):
         cfg = tiny_heat_config(tmp_path, test_count=0)
         report = run_experiment(cfg)
-        assert report.rows == []
+        assert report.parameters.shape == (0, 2)
         lines = (tmp_path / "analysis_results_errors.csv").read_text().strip().splitlines()
-        assert len(lines) == 1  # headers only
+        # headers only, naming the parameter columns as a run with tests does
+        assert lines == [",".join(["test_index", "mu_0", "mu_1", *(
+            f"{name}_{column}" for name in ("g-rom", "kernel", "gpr", "mlp")
+            for column in ("true_adjoint_error", "estimated_error", "control_error"))])]
+        timings = (tmp_path / "timings.csv").read_text().splitlines()
+        assert timings == ["model,avg_runtime_seconds,avg_speedup_vs_exact", "exact,nan,",
+                           "g-rom,nan,nan", "kernel,nan,nan", "gpr,nan,nan", "mlp,nan,nan"]
         greedy_lines = (tmp_path / "greedy_results.csv").read_text().strip().splitlines()
         assert len(greedy_lines) == 1 + len(report.greedy_history)
         # every selection row carries the true error; the stopping row has none
         true_errors = [line.split(",")[3] for line in greedy_lines[1:]]
         assert len(true_errors) > 1
         assert all(true_errors[:-1]) and true_errors[-1] == ""
+
+    def test_grid_too_small_for_a_surrogate_rejected_before_the_greedy(self, tmp_path):
+        argv = ["full-run", "--family", "heat", "--n-y", "6", "--train-grid", "2", "2",
+                "--test-count", "1", "--output-dir", str(tmp_path / "run")]
+        with pytest.raises(ValueError, match="the mlp surrogate needs at least 5 training "
+                                             "pairs, train_grid 2 2 has 4"):
+            main(argv)
+        assert not (tmp_path / "run" / "basis.crb").exists()
+        assert main([*argv, "--surrogates", "kernel", "gpr"]) == 0
+        assert (tmp_path / "run" / "surrogate_gpr.bin").exists()
 
     def test_failure_leaves_marker(self, tmp_path):
         cfg = tiny_heat_config(tmp_path, max_basis=1, tolerance=1e-14)
@@ -308,6 +367,50 @@ class TestRunExperiment:
         assert (tmp_path / FAILURE_MARKER).exists()
         run_experiment(tiny_heat_config(tmp_path, test_count=2))
         assert not (tmp_path / FAILURE_MARKER).exists()
+
+
+def hand_made_report(n_y, errors, runtimes):
+    """A ``RunReport`` of two test parameters from hand-made arrays."""
+    return RunReport(config=ExperimentConfig(n_y=n_y), greedy_history=[], basis_size=3,
+                     parameters=np.array([[1.0, 0.5], [1.5, 1.0]]),
+                     errors={name: np.array(e, dtype=float) for name, e in errors.items()},
+                     runtimes={name: np.array(t, dtype=float) for name, t in runtimes.items()})
+
+
+ERRORS = {"g-rom": [[1e-6, 2e-6, 3e-6], [1e-6 * (1 + 1e-7), 1e-6, 3e-6]],
+             "kernel": [[1e-5, 2e-5, 3e-5], [3e-5, 2e-5, 1e-4]]}
+ORDERED = {"exact": [1.0, 1.0], "g-rom": [0.1, 0.1], "kernel": [0.01, 0.01]}
+
+
+class TestInvariants:
+    def test_understated_estimate_flagged_with_row_and_model(self):
+        # g-rom's second row sits inside the relative slack of 1e-6
+        report = hand_made_report(8, ERRORS, ORDERED)
+        experiment._check_invariants(report)
+        assert report.invariant_violations == [
+            "row 1 model kernel: true error 3.000e-05 exceeds estimate 2.000e-05"]
+        assert not report.ok()
+
+    @pytest.mark.parametrize("n_y, flagged", [(49, False), (50, True), (100, True)])
+    def test_runtime_ordering_applies_at_benchmark_scale(self, n_y, flagged):
+        errors = {name: [[1e-6, 2e-6, 3e-6]] * 2 for name in ("g-rom", "kernel")}
+        report = hand_made_report(n_y, errors,
+                                  {"exact": [1.0, 1.0], "g-rom": [1.0, 3.0], "kernel": [3.0, 2.0]})
+        experiment._check_invariants(report)
+        assert report.invariant_violations == ([
+            "reduced model (2.0000s) not faster than exact (1.0000s)",
+            "surrogate kernel (2.5000s) not faster than the reduced model (2.0000s)",
+        ] if flagged else [])
+        ordered = hand_made_report(n_y, errors, ORDERED)
+        experiment._check_invariants(ordered)
+        assert ordered.ok()
+
+    def test_report_exits_1_on_a_violation(self, capsys):
+        report = hand_made_report(8, ERRORS, ORDERED)
+        experiment._check_invariants(report)
+        assert _report(report) == 1
+        err = capsys.readouterr().err
+        assert "INVARIANT VIOLATION: row 1 model kernel: true error 3.000e-05" in err
 
 
 class TestSvdDiagnostic:
@@ -376,6 +479,25 @@ class TestCli:
         (outdir / "surrogate_gpr.bin").unlink()
         with pytest.raises(FileNotFoundError, match="surrogate_gpr.bin"):
             main(["online", "--config", str(cfg_path)])
+
+    def test_online_rejects_model_of_another_basis_size_before_any_solve(self, tmp_path,
+                                                                          monkeypatch):
+        outdir = tmp_path / "staged"
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(tiny_heat_config(outdir, test_count=2), cfg_path)
+        assert main(["full-run", "--config", str(cfg_path)]) == 0
+        reports = {name: (outdir / name).read_bytes()
+                   for name in ("analysis_results_errors.csv", "timings.csv")}
+        # a looser tolerance leaves a smaller basis than the surrogates were fitted to
+        assert main(["offline", "--config", str(cfg_path), "--tolerance", "1e-2"]) == 0
+        solves = []
+        monkeypatch.setattr(experiment, "solve_exact", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match=r"kernel model predicts \d+ coefficients but "
+                                             r"basis has size \d+"):
+            main(["online", "--config", str(cfg_path)])
+        assert solves == []
+        for name, content in reports.items():
+            assert (outdir / name).read_bytes() == content, name
 
     # wave at n_y=6 shares the state dimension 12 of the heat basis
     @pytest.mark.parametrize("flags, message", [

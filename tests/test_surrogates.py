@@ -20,6 +20,7 @@ from ctrlrom.surrogates import (
     GPRegressor,
     KernelRegressor,
     MLPRegressor,
+    REGRESSOR_CLASSES,
     load_model,
     make_regressor,
     mlp,
@@ -545,3 +546,11 @@ class TestTransferBound:
             bound = eps + np.linalg.norm(alpha - sol.coeffs)
             assert true_err <= bound * (1 + 1e-6) + floor
             assert true_err <= sol.estimated_error * (1 + 1e-6) + floor
+
+
+@pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))
+def test_fit_rejects_fewer_pairs_than_its_minimum(kind):
+    cls = REGRESSOR_CLASSES[kind]
+    data = TrainingData(np.zeros((cls.min_pairs - 1, 2)), np.zeros((cls.min_pairs - 1, 3)))
+    with pytest.raises(ValueError, match=f"need at least {cls.min_pairs} training pair"):
+        cls().fit(data)
