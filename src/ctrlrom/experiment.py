@@ -158,6 +158,9 @@ def load_config(path):
     family named in the file; a file that is not INI, a section or key that
     ``save_config`` does not write there, or a value that does not parse as
     its field's type raises ``ValueError`` naming the file, section and key.
+    A config that ``validate()`` rejects raises its message after the file's
+    name, and after the section and key too when exactly one of the file's
+    values makes the family defaults invalid on its own.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -167,21 +170,35 @@ def load_config(path):
     if not found:
         raise FileNotFoundError(f"config file {path} not found")
     family = parser.get("family", "family", fallback="heat")
-    defaults = default_config(family)
+    try:
+        defaults = default_config(family)
+    except ValueError as exc:
+        raise ValueError(f"{path}: key 'family' in section [family]: {exc}") from exc
     keys = {(f.metadata["section"], parser.optionxform(f.name)): f.name
             for f in fields(ExperimentConfig)}
-    values = {}
+    values, where = {}, {}
     for section in parser.sections():
         for option, text in parser[section].items():
             if (section, option) not in keys:
                 raise ValueError(f"{path}: unknown key '{option}' in section [{section}]")
             name = keys[section, option]
+            where[name] = f"key '{option}' in section [{section}]"
             try:
                 values[name] = _parse_value(text, getattr(defaults, name))
             except ValueError as exc:
-                raise ValueError(f"{path}: key '{option}' in section [{section}]: "
+                raise ValueError(f"{path}: {where[name]}: "
                                  f"cannot parse {text!r}: {exc}") from exc
-    return replace(defaults, **values).validate()
+    try:
+        return replace(defaults, **values).validate()
+    except ValueError as exc:
+        at_fault = []  # the file's values that the family defaults reject alone
+        for name, value in values.items():
+            try:
+                replace(defaults, **{name: value}).validate()
+            except ValueError:
+                at_fault.append(where[name])
+        located = f"{at_fault[0]}: " if len(at_fault) == 1 else ""
+        raise ValueError(f"{path}: {located}{exc}") from exc
 
 
 def _cg_max_iter(config):

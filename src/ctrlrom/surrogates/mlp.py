@@ -16,18 +16,30 @@ axis: each weight is (restarts, out, in) and each bias (restarts, out), and
 one gradient evaluation and one update per step serve every restart still
 training.  ``forward``, ``loss_gradients`` and ``mse_loss`` take one network
 or such a stack; a slice of a stacked result equals the single network's
-result bit for bit, so every restart follows the arithmetic it would follow
-alone.
+result bit for bit, in either float64 or float32, so every restart follows
+the arithmetic it would follow alone.
+
+Training runs in float32.  ``init_params`` draws each restart's weights in
+float64, from its restart's seeded stream, and the stack is cast once; the
+training and validation pairs, Adam's moments, the best copies and every
+buffer are float32 too.  The winners come back cast to float64, which is
+exact, and ``fit`` ranks them by their float64 training loss on the original
+pairs.  A fitted model's weights are thus float32 values stored as float64:
+prediction and the file stay float64.  The fit's own error (a mean adjoint
+error near 2e-4 on heat) lies three orders of magnitude above float32's unit
+roundoff (6e-8), so float64 training would buy no accuracy, only twice the
+bytes per step.
 
 A fit allocates its arrays once, sized for every restart: restarts x (6 x
-parameters + pairs x (4 x 50 + outputs)) floats, for the weights, their best
-copy, Adam's two moments, the gradients and one temporary, and for the three
-hidden activations, one product delta @ W and the output of every training
-pair; about 3.7 MB at 10 restarts, 57 pairs and 9 outputs (heat at paper
-scale).  A step writes into them in place or through ``out=``, with the
-ufuncs and the order of the allocating expressions, so the models stay bit
-for bit the same; a restart that stops moves the remaining rows to the front
-and the stack shrinks to views of its first rows.
+parameters + pairs x (4 x 50 + outputs)) float32 values, for the weights,
+their best copy, Adam's two moments, the gradients and one temporary, and
+for the three hidden activations, one product delta @ W and the output of
+every training pair; about 1.9 MB at 10 restarts, 57 pairs and 9 outputs
+(heat at paper scale).  A step writes into them in place or through
+``out=``, with the ufuncs and the order of the allocating expressions, so it
+does their float32 arithmetic bit for bit; a restart that stops moves the
+remaining rows to the front and the stack shrinks to views of its first
+rows.
 """
 
 from typing import NamedTuple
@@ -70,8 +82,9 @@ class Work(NamedTuple):
     def allocate(cls, params, pairs):
         stack = params[0].shape[:-2]
         widths = [W.shape[-2] for W in params[::2]]
-        by_width = {w: np.empty((*stack, pairs, w)) for w in widths[:-1]}
-        return cls([np.empty((*stack, pairs, w)) for w in widths],
+        dtype = params[0].dtype
+        by_width = {w: np.empty((*stack, pairs, w), dtype) for w in widths[:-1]}
+        return cls([np.empty((*stack, pairs, w), dtype) for w in widths],
                    [by_width[w] for w in widths[:-1]],
                    [np.empty_like(p) for p in params])
 
@@ -166,11 +179,13 @@ class MLPRegressor(CoefficientRegressor):
         self.y_span = None
 
     def _train(self, layer_sizes, Xt, Yt, Xv, Yv):
-        """Adam on every restart at once; returns the restarts' weights at
-        their best validation loss, stacked, and which restarts diverged."""
+        """Adam on every restart at once, in float32; returns the restarts'
+        weights at their best validation loss, stacked and cast back to
+        float64, and which restarts diverged."""
         inits = (init_params(layer_sizes, np.random.default_rng(self.seed * 100003 + r))
                  for r in range(self.restarts))
-        params = [np.stack(layer) for layer in zip(*inits)]
+        params = [np.stack(layer).astype(np.float32) for layer in zip(*inits)]
+        Xt, Yt, Xv, Yv = (a.astype(np.float32) for a in (Xt, Yt, Xv, Yv))
         best = [p.copy() for p in params]
         m = [np.zeros_like(p) for p in params]
         v = [np.zeros_like(p) for p in params]
@@ -228,7 +243,7 @@ class MLPRegressor(CoefficientRegressor):
                 k = active.size
                 params, m, v, temp = ([a[:k] for a in arrays] for arrays in (params, m, v, temp))
                 work = work.rows(k)
-        return best, diverged
+        return [p.astype(np.float64) for p in best], diverged
 
     def fit(self, data):
         X, Y = data.parameters, data.coefficients

@@ -240,6 +240,26 @@ class TestConfigFile:
         assert exit_.value.code == 2
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("text, located, message", [
+        ("[family]\nfamily = advection\n", "key 'family' in section [family]: ",
+         "unknown family 'advection'"),
+        ("[family]\nn_y = 1\n", "key 'n_y' in section [family]: ",
+         "n_y >= 2 and steps_per_point >= 1 required"),
+        # two values at fault on their own: the file alone is named
+        ("[family]\nn_y = 1\nsteps_per_point = 0\n", "",
+         "n_y >= 2 and steps_per_point >= 1 required"),
+    ], ids=["family", "n_y", "two-keys"])
+    def test_invalid_value_names_file_section_and_key(self, tmp_path, text, located, message):
+        path = tmp_path / "bad_value.ini"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {located}{message}')}$"):
+            load_config(path)
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_:
+            main(["full-run", "--config", str(path), "--output-dir", str(outdir)])
+        assert exit_.value.code == 2
+        assert not outdir.exists()
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(family="advection").validate()

@@ -45,10 +45,11 @@ def make_training_data(n=12, p=2, N=3, seed=0, mapping=None):
 
 
 def reference_restart(layer_sizes, Xt, Yt, Xv, Yv, rng, max_steps):
-    """One restart's Adam loop on its own network, as the fit ran before the
-    restarts were stacked.  Returns (best params or None if it diverged,
-    training loss at them, the step it stopped at)."""
-    params = mlp.init_params(layer_sizes, rng)
+    """One restart's Adam loop on its own float32 network, as the fit ran
+    before the restarts were stacked.  Returns (best params cast to float64
+    or None if it diverged, the step it stopped at)."""
+    params = [p.astype(np.float32) for p in mlp.init_params(layer_sizes, rng)]
+    Xt, Yt, Xv, Yv = (a.astype(np.float32) for a in (Xt, Yt, Xv, Yv))
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -69,14 +70,14 @@ def reference_restart(layer_sizes, Xt, Yt, Xv, Yv, rng, max_steps):
             checks += 1
             val = mlp.mse_loss(params, Xv, Yv)
             if not np.isfinite(val):
-                return None, np.inf, step
+                return None, step
             if val < best_val:
                 best_val = val
                 best_params = [p.copy() for p in params]
                 best_check = checks
             elif checks - best_check > mlp.PATIENCE:
                 break
-    return best_params, mlp.mse_loss(best_params, Xt, Yt), step
+    return [p.astype(np.float64) for p in best_params], step
 
 
 def reference_fit(model, data):
@@ -94,10 +95,13 @@ def reference_fit(model, data):
     best, stops = (np.inf, None), []
     for r in range(model.restarts):
         rng = np.random.default_rng(model.seed * 100003 + r)
-        params, loss, stop = reference_restart(layer_sizes, X[train_idx], Yn[train_idx],
-                                               X[val_idx], Yn[val_idx], rng, model.max_steps)
+        params, stop = reference_restart(layer_sizes, X[train_idx], Yn[train_idx],
+                                         X[val_idx], Yn[val_idx], rng, model.max_steps)
         stops.append(None if params is None else stop)
-        if params is not None and loss < best[0]:
+        if params is None:
+            continue
+        loss = mlp.mse_loss(params, X[train_idx], Yn[train_idx])  # float64, as fit ranks them
+        if loss < best[0]:
             best = (loss, params)
     return best[1], stops
 
@@ -260,19 +264,23 @@ class TestMLPRegressor:
         with pytest.raises(ValueError):
             MLPRegressor().fit(data)
 
+    # float32 is the dtype the fit trains in, float64 the one criterion 9 checks
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @settings(max_examples=60, deadline=None)
     @given(layers=st.lists(st.integers(1, 9), min_size=2, max_size=5),
            n=st.integers(1, 12), restarts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-    def test_stack_slices_equal_single_networks(self, layers, n, restarts, seed):
+    def test_stack_slices_equal_single_networks(self, dtype, layers, n, restarts, seed):
         rng = np.random.default_rng(seed)
-        nets = [[rng.standard_normal(p.shape) for p in init_params(layers, rng)]
+        nets = [[rng.standard_normal(p.shape).astype(dtype) for p in init_params(layers, rng)]
                 for _ in range(restarts)]
         stack = [np.stack(layer) for layer in zip(*nets)]
-        X = rng.standard_normal((n, layers[0]))
-        Y = rng.standard_normal((n, layers[-1]))
+        X = rng.standard_normal((n, layers[0])).astype(dtype)
+        Y = rng.standard_normal((n, layers[-1])).astype(dtype)
         out, activations = forward(stack, X)
         grads = loss_gradients(stack, X, Y)
         losses = mse_loss(stack, X, Y)
+        assert out.dtype == losses.dtype == dtype
+        assert all(g.dtype == dtype for g in grads)
         for r, net in enumerate(nets):
             single_out, single_activations = forward(net, X)
             assert np.array_equal(out[r], single_out)
@@ -405,6 +413,56 @@ class TestMLPRegressor:
     def test_needs_one_step(self, max_steps):
         with pytest.raises(ValueError, match="training step"):
             MLPRegressor(max_steps=max_steps)
+
+    def test_fit_trains_in_float32_and_saves_float64(self, monkeypatch, tmp_path):
+        dtypes = set()
+        gradients = mlp.loss_gradients
+
+        def recorded(params, X, Y, work):
+            dtypes.update(a.dtype for a in (*params, X, Y, *itertools.chain(*work)))
+            return gradients(params, X, Y, work)
+
+        monkeypatch.setattr(mlp, "loss_gradients", recorded)
+        model = MLPRegressor(seed=4, restarts=3, max_steps=200).fit(make_training_data(n=10))
+        assert dtypes == {np.dtype(np.float32)}
+        path = tmp_path / "mlp.bin"
+        model.save(path)
+        _, _, arrays = persist.read(path, "mlp")
+        for i, p in enumerate(model.params):
+            saved = arrays[f"param_{i}"]
+            assert p.dtype == np.float64 and saved.dtype == np.dtype("<f8")
+            assert np.array_equal(saved, p)
+            # float32 values, stored exactly in float64
+            assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
+
+    def test_fit_does_not_depend_on_blas_threads(self, tmp_path):
+        # pairs shaped like heat's training set at paper scale (64 pairs of
+        # 2 parameters and 9 coefficients); BLAS reads its thread count
+        # once, at load, so each count fits in a fresh interpreter
+        child = textwrap.dedent("""
+            import hashlib, sys
+            import numpy as np
+            from ctrlrom.greedy_rom import TrainingData
+            from ctrlrom.surrogates import MLPRegressor
+
+            rng = np.random.default_rng(5)
+            X = rng.uniform(0.5, 2.0, size=(64, 2))
+            Y = np.sin(X @ rng.standard_normal((2, 9))) * np.logspace(0, -4, 9)
+            MLPRegressor(restarts=10, max_steps=600).fit(TrainingData(X, Y)).save(sys.argv[1])
+            with open(sys.argv[1], "rb") as f:
+                print(hashlib.sha256(f.read()).hexdigest())
+        """)
+        digests = []
+        for threads in ("2", "1"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+            done = subprocess.run([sys.executable, "-c", child, str(tmp_path / f"{threads}.bin")],
+                                  env=env, capture_output=True, text=True, check=True,
+                                  timeout=300)
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 1
+        assert digests[0] == digests[1]
 
     def test_save_load_round_trip(self, tmp_path):
         data = make_training_data(n=8, seed=15)
