@@ -38,6 +38,12 @@ from .numerics import InnerProduct, gram_schmidt_extend
 log = logging.getLogger(__name__)
 
 
+def _require_finite(**arrays):
+    for name, array in arrays.items():
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"{name} holds a NaN or an infinity")
+
+
 @dataclass
 class GreedyStep:
     """One row of the greedy history."""
@@ -52,7 +58,8 @@ class GreedyStep:
 class ReducedBasis:
     """Orthonormal final-time adjoint snapshots with their provenance, as the
     file holds them: the rows of ``vectors`` (N, n), orthonormal in ``ip``,
-    and the parameters they came from, ``selected_params`` (N, p)."""
+    and the parameters they came from, ``selected_params`` (N, p), both
+    finite."""
 
     vectors: np.ndarray
     selected_params: np.ndarray
@@ -66,6 +73,7 @@ class ReducedBasis:
         if V.ndim != 2 or mu.ndim != 2 or len(V) != len(mu):
             raise ValueError(f"vectors of shape {V.shape} and selected parameters of shape "
                              f"{mu.shape} do not pair up")
+        _require_finite(vectors=V, selected_params=mu)
 
     @property
     def size(self):
@@ -86,7 +94,8 @@ class ReducedBasis:
 class TrainingData:
     """What the greedy leaves for the surrogates to learn, as its file holds
     it: the training parameters as the rows of ``parameters`` (P, p), their
-    reduced coefficients as the rows of ``coefficients`` (P, N = 0 if none)."""
+    reduced coefficients as the rows of ``coefficients`` (P, N = 0 if none),
+    both finite."""
 
     parameters: np.ndarray
     coefficients: np.ndarray
@@ -96,6 +105,7 @@ class TrainingData:
         if mu.ndim != 2 or alpha.ndim != 2 or len(mu) != len(alpha):
             raise ValueError(f"parameters of shape {mu.shape} and coefficients of shape "
                              f"{alpha.shape} do not pair up")
+        _require_finite(parameters=mu, coefficients=alpha)
 
 
 @dataclass
@@ -135,20 +145,18 @@ def _project(images, rhs, ip):
     return coeffs, ip.norm(rhs - images @ coeffs)
 
 
-def project_coefficients(inst, basis, rhs=None):
+def project_coefficients(inst, basis):
     """Project the right-hand side onto the span of the perturbed states.
 
     Computes x_i = (I + M Gramian) phi_i for all basis vectors at once (one
     backward and one forward sweep over the N columns) and the right-hand
-    side unless given (one sweep), then returns the
-    coefficients of the orthogonal projection of the right-hand side onto
-    span{x_i} in the weighted inner product, and the residual norm that
-    certifies the reconstructed adjoint.
+    side (one sweep), then returns the coefficients of the orthogonal
+    projection of the right-hand side onto span{x_i} in the weighted inner
+    product, and the residual norm that certifies the reconstructed adjoint.
     """
     if basis.size == 0:
         raise ValueError("cannot project onto an empty basis")
-    if rhs is None:
-        rhs = dynamics.rhs_vector(inst)
+    rhs = dynamics.rhs_vector(inst)
     images = dynamics.apply_system_operator(inst, basis.matrix())
     return _project(images, rhs, inst.ip)
 

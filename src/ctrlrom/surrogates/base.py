@@ -1,5 +1,7 @@
 """Shared interface for parameter-to-coefficient regressors."""
 
+import math
+
 import numpy as np
 
 from .. import persist
@@ -21,8 +23,9 @@ class CoefficientRegressor:
     ``hyper_parameters``, arrays in ``fitted_arrays`` with the shape of each.
     A shape's entries are sizes or the names ``"n_outputs"``, ``"inputs"``
     (the parameter dimension) and ``"rows"`` (the model's own row count,
-    such as its centers).  ``save`` writes those and ``load`` checks and
-    sets them on a model built with default arguments.  Prediction is
+    such as its centers).  ``save`` writes those and ``load`` checks their
+    types and shapes and that they are finite, and sets them on a model
+    built with default arguments.  Prediction is
     deterministic after fitting and returns an array whose length matches
     the basis size the model was trained against.
     """
@@ -75,9 +78,11 @@ class CoefficientRegressor:
         try:
             for name in ("n_outputs", *cls.hyper_parameters):
                 value = meta[name]
-                if not (persist.is_real(value) and (name != "n_outputs" or isinstance(value, int))):
+                if not (persist.is_real(value) and math.isfinite(value)
+                        and (name != "n_outputs" or isinstance(value, int))):
+                    what = "an integer" if name == "n_outputs" else "a finite real number"
                     raise ValueError(f"{path}: {cls.kind} record holds {name} = {value!r}, not "
-                                     f"{'an integer' if name == 'n_outputs' else 'a real number'}")
+                                     f"{what}")
                 setattr(model, name, value)
             sizes = {"n_outputs": model.n_outputs}  # the named sizes, bound where first met
             for name, shape in cls.fitted_arrays.items():
@@ -87,6 +92,9 @@ class CoefficientRegressor:
                 if len(found) != len(shape) or found != expected:
                     raise ValueError(f"{path}: {cls.kind} array {name} has shape {found}, not "
                                      f"{shape} with n_outputs = {model.n_outputs}")
+                if not np.all(np.isfinite(arrays[name])):
+                    raise ValueError(f"{path}: {cls.kind} array {name} holds a NaN or an "
+                                     f"infinity")
             model._set_arrays(arrays)
         except KeyError as exc:
             raise ValueError(f"{path}: {cls.kind} record lacks {exc}") from None

@@ -35,13 +35,19 @@ parameters + pairs x (4 x 50 + outputs)) float32 values, for the weights,
 their best copy, Adam's two moments, the gradients and one temporary, and
 for the three hidden activations, one product delta @ W and the output of
 every training pair; about 1.9 MB at 10 restarts, 57 pairs and 9 outputs
-(heat at paper scale).  A step writes into them in place or through
-``out=``, with the ufuncs and the order of the allocating expressions, so it
-does their float32 arithmetic bit for bit; a restart that stops moves the
-remaining rows to the front and the stack shrinks to views of its first
-rows.
+(heat at paper scale).  Each of the six parameter-sized arrays is one flat
+(restarts, parameters per network) array, a row per restart; ``forward``,
+``loss_gradients`` and ``Work.grads`` see its per-layer views, and Adam
+updates the flat rows with 14 ufunc calls per step, whatever the number of
+layers.  A step writes into the arrays in place or through ``out=``, with
+the ufuncs and the order of the allocating expressions, so it does their
+float32 arithmetic bit for bit; a restart that stops moves the remaining
+rows of the weights and of the two moments (three row copies per restart
+that stays) to the front, every array shrinks to a view of its first rows,
+and a new best copies one row.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -66,27 +72,38 @@ def init_params(layer_sizes, rng):
     return params
 
 
+def _layers(flat, shapes):
+    """The per-layer arrays of the networks whose parameters are the rows of
+    ``flat``, laid out as ``init_params`` lists them: views, not copies."""
+    layers, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        layers.append(flat[:, start:start + size].reshape(len(flat), *shape))
+        start += size
+    return layers
+
+
 class Work(NamedTuple):
     """Buffers that ``forward`` and ``loss_gradients`` write into instead of
     allocating: each layer's output (pairs, out), which the backward pass
     overwrites with the layer's delta, the product delta @ W of every hidden
     layer (one array per width, shared by the layers of that width) and the
-    gradients, shaped like the parameters.  Every array leads with the stack
-    axis, so ``rows(k)`` serves the first k networks of the stack."""
+    gradients ``grads``, arrays shaped like the parameters.  Every array
+    leads with the stack axis, so ``rows(k)`` serves the first k networks of
+    the stack."""
 
     outputs: list
     products: list
     grads: list
 
     @classmethod
-    def allocate(cls, params, pairs):
+    def allocate(cls, params, pairs, grads):
         stack = params[0].shape[:-2]
         widths = [W.shape[-2] for W in params[::2]]
         dtype = params[0].dtype
         by_width = {w: np.empty((*stack, pairs, w), dtype) for w in widths[:-1]}
         return cls([np.empty((*stack, pairs, w), dtype) for w in widths],
-                   [by_width[w] for w in widths[:-1]],
-                   [np.empty_like(p) for p in params])
+                   [by_width[w] for w in widths[:-1]], grads)
 
     def rows(self, k):
         return Work(*([a[:k] for a in arrays] for arrays in self))
@@ -182,15 +199,19 @@ class MLPRegressor(CoefficientRegressor):
         """Adam on every restart at once, in float32; returns the restarts'
         weights at their best validation loss, stacked and cast back to
         float64, and which restarts diverged."""
-        inits = (init_params(layer_sizes, np.random.default_rng(self.seed * 100003 + r))
-                 for r in range(self.restarts))
-        params = [np.stack(layer).astype(np.float32) for layer in zip(*inits)]
+        inits = [init_params(layer_sizes, np.random.default_rng(self.seed * 100003 + r))
+                 for r in range(self.restarts)]
+        shapes = [a.shape for a in inits[0]]
+        # the weights p, Adam's moments m and v, the gradients g and a
+        # temporary t hold a row per restart still training and a column per
+        # parameter; the passes see the per-layer views of p and g
+        p = np.array([np.concatenate([a.ravel() for a in init]) for init in inits],
+                     dtype=np.float32)
+        best, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        g, t = np.empty_like(p), np.empty_like(p)
         Xt, Yt, Xv, Yv = (a.astype(np.float32) for a in (Xt, Yt, Xv, Yv))
-        best = [p.copy() for p in params]
-        m = [np.zeros_like(p) for p in params]
-        v = [np.zeros_like(p) for p in params]
-        temp = [np.empty_like(p) for p in params]
-        work = Work.allocate(params, len(Xt))
+        params = _layers(p, shapes)
+        work = Work.allocate(params, len(Xt), _layers(g, shapes))
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         active = np.arange(self.restarts)  # the restart of each row of the stack
         best_val = np.full(self.restarts, np.inf)
@@ -198,23 +219,22 @@ class MLPRegressor(CoefficientRegressor):
         diverged = np.zeros(self.restarts, dtype=bool)
         checks = 0
         for step in range(1, self.max_steps + 1):
-            grads = loss_gradients(params, Xt, Yt, work)
+            loss_gradients(params, Xt, Yt, work)  # into g
             lr = LEARNING_RATE * 0.5 ** (step // 1000)
             # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
             # p = p - lr m_hat / (sqrt(v_hat) + eps), in place; g turns into
-            # the v terms and temp into the m terms
-            for p, m_i, v_i, g, t in zip(params, m, v, grads, temp):
-                m_i *= beta1
-                m_i += np.multiply(g, 1 - beta1, out=t)
-                v_i *= beta2
-                v_i += np.multiply(np.square(g, out=g), 1 - beta2, out=g)
-                np.divide(m_i, 1 - beta1**step, out=t)
-                np.divide(v_i, 1 - beta2**step, out=g)
-                np.sqrt(g, out=g)
-                g += eps
-                t *= lr
-                t /= g
-                p -= t
+            # the v terms and t into the m terms
+            m *= beta1
+            m += np.multiply(g, 1 - beta1, out=t)
+            v *= beta2
+            v += np.multiply(np.square(g, out=g), 1 - beta2, out=g)
+            np.divide(m, 1 - beta1**step, out=t)
+            np.divide(v, 1 - beta2**step, out=g)
+            np.sqrt(g, out=g)
+            g += eps
+            t *= lr
+            t /= g
+            p -= t
             # validation is polled on a coarser grid than the optimizer steps
             # so the patience window spans a meaningful stretch of training;
             # the last step is checked too, so no step goes unused
@@ -227,23 +247,23 @@ class MLPRegressor(CoefficientRegressor):
             best_val[active[improved]] = val[improved]
             best_check[active[improved]] = checks
             for row in np.flatnonzero(improved):
-                for kept, p in zip(best, params):
-                    kept[active[row]] = p[row]
+                best[active[row]] = p[row]
             diverged[active[~finite]] = True
             # a restart leaves the stack where it diverges or runs out of
-            # patience; the rows that stay move to the front of every array
+            # patience; the rows that stay move to the front
             stays = finite & (checks - best_check[active] <= PATIENCE)
             if not stays.all():
                 active = active[stays]
                 if active.size == 0:
                     break
                 for row, kept_row in enumerate(np.flatnonzero(stays)):
-                    for a in (*params, *m, *v):
+                    for a in (p, m, v):
                         a[row] = a[kept_row]
                 k = active.size
-                params, m, v, temp = ([a[:k] for a in arrays] for arrays in (params, m, v, temp))
+                p, m, v, g, t = (a[:k] for a in (p, m, v, g, t))
+                params = _layers(p, shapes)
                 work = work.rows(k)
-        return [p.astype(np.float64) for p in best], diverged
+        return [layer.astype(np.float64) for layer in _layers(best, shapes)], diverged
 
     def fit(self, data):
         X, Y = data.parameters, data.coefficients

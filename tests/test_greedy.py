@@ -2,6 +2,7 @@ import gc
 import logging
 import re
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ctrlrom.exact_solver import error_estimator, solve_exact
 from ctrlrom.greedy_rom import (
     ReducedBasis,
     TrainingData,
+    _project,
     greedy_offline,
     load_basis,
     load_training_data,
@@ -119,7 +121,7 @@ class TestProjectCoefficients:
         basis = ReducedBasis(vectors=np.array(vectors), selected_params=np.zeros((3, 1)),
                              ip=inst.ip, tolerance_used=0.0)
         target = rng.standard_normal(6)
-        coeffs, _ = project_coefficients(inst, basis, rhs=target)
+        coeffs, _ = _project(images(inst, basis), target, inst.ip)
         np.testing.assert_allclose(images(inst, basis), basis.matrix(), atol=1e-12)
         for i, phi in enumerate(vectors):
             assert coeffs[i] == pytest.approx(inst.ip.dot(phi, target), abs=1e-12)
@@ -339,7 +341,7 @@ class TestRomOnline:
         states = images(inst, basis)
         rhs = rhs_vector(inst)
         rhs = rhs - states @ np.linalg.lstsq(states, rhs, rcond=None)[0]
-        coeffs, value = project_coefficients(inst, basis, rhs=rhs)
+        coeffs, value = _project(states, rhs, inst.ip)
         assert np.max(np.abs(coeffs)) <= 1e-12 * np.linalg.norm(rhs)
         assert value == pytest.approx(inst.ip.norm(rhs), rel=1e-12)
 
@@ -377,6 +379,24 @@ class TestTrainingData:
     def test_rejected_at_construction(self, parameters, coefficients):
         with pytest.raises(ValueError, match="do not pair up"):
             TrainingData(parameters, coefficients)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("record, name", [
+    (TrainingData, "parameters"),
+    (TrainingData, "coefficients"),
+    (ReducedBasis, "vectors"),
+    (ReducedBasis, "selected_params"),
+])
+def test_record_rejects_non_finite_array(record, name, bad):
+    shapes = {"parameters": (4, 2), "coefficients": (4, 3), "vectors": (3, 8),
+              "selected_params": (3, 2)}
+    extra = dict(ip=InnerProduct(1.0), tolerance_used=0.0) if record is ReducedBasis else {}
+    arrays = {f.name: np.ones(shapes[f.name]) for f in fields(record) if f.name in shapes}
+    record(**arrays, **extra)  # finite: accepted
+    arrays[name][-1, 1] = bad
+    with pytest.raises(ValueError, match=f"^{name} holds a NaN or an infinity"):
+        record(**arrays, **extra)
 
 
 class TestPersistence:

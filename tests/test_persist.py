@@ -74,10 +74,13 @@ class TestHeaderTypes:
         ("kernel", {"n_outputs": "6"}),
         ("kernel", {"n_outputs": True}),
         ("kernel", {"beta": "0.5"}),
+        ("kernel", {"beta": float("inf")}),
         ("gpr", {"length": None}),
+        ("gpr", {"c": float("nan")}),
         ("mlp", {"n_outputs": 6.0}),
     ], ids=["family-int", "ip_weight-str", "ip_weight-nan", "tolerance-str", "tolerance-inf",
-            "n_outputs-str", "n_outputs-bool", "beta-str", "length-null", "n_outputs-float"])
+            "n_outputs-str", "n_outputs-bool", "beta-str", "beta-inf", "length-null", "c-nan",
+            "n_outputs-float"])
     def test_wrong_type_rejected(self, saved_files, tmp_path, kind, change):
         _, meta, arrays = persist.read(saved_files[kind], kind)
         bad = tmp_path / f"bad_{kind}.bin"
@@ -137,3 +140,19 @@ class TestArrayShapes:
         persist.write(bad, kind, meta, {**arrays, name: widened})
         with pytest.raises(ValueError, match=re.escape(bad.name)):
             LOADERS[kind](bad)
+
+
+class TestNonFiniteArrays:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_every_array_checked_and_file_named(self, saved_files, tmp_path, kind, bad):
+        # one entry of one array spoiled at a time; the file stays well formed
+        _, meta, arrays = persist.read(saved_files[kind], kind)
+        for name, array in arrays.items():
+            spoiled = array.copy()
+            spoiled.flat[-1] = bad
+            path = tmp_path / f"{kind}_{name}.bin"
+            persist.write(path, kind, meta, {**arrays, name: spoiled})
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{name} holds a NaN "
+                                                 f"or an infinity"):
+                LOADERS[kind](path)

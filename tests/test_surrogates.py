@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import platform
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from ctrlrom import persist
 from ctrlrom.errors import TrainingError
@@ -21,12 +23,13 @@ from ctrlrom.surrogates import (
     KernelRegressor,
     MLPRegressor,
     REGRESSOR_CLASSES,
+    gpr,
     load_model,
     make_regressor,
     mlp,
     surrogate_online,
 )
-from ctrlrom.surrogates.base import CoefficientRegressor
+from ctrlrom.surrogates.base import CoefficientRegressor, sq_dists
 from ctrlrom.surrogates.gpr import log_marginal_likelihood
 from ctrlrom.surrogates.kernel import P_GREEDY_TOL
 from ctrlrom.surrogates.mlp import forward, init_params, loss_gradients, mse_loss
@@ -42,6 +45,44 @@ def make_training_data(n=12, p=2, N=3, seed=0, mapping=None):
         C = rng.standard_normal((N, p))
         mapping = lambda x: C @ x
     return TrainingData(X, np.array([mapping(x) for x in X], dtype=float))
+
+
+def reference_lml(X, Y, c, length):
+    """The log-marginal likelihood as ``cho_factor`` and ``cho_solve``
+    compute it on the jittered kernel matrix of the inputs ``X``."""
+    n = X.shape[0]
+    K = gpr.rbf_kernel(X, X, c, length) + gpr.JITTER * np.eye(n)
+    try:
+        factor = cho_factor(K, lower=True)
+    except np.linalg.LinAlgError:
+        return -np.inf
+    alpha = cho_solve(factor, Y)
+    logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+    quad = float(np.sum(Y * alpha))
+    return -0.5 * quad - 0.5 * Y.shape[1] * (logdet + n * np.log(2.0 * np.pi))
+
+
+def reference_gpr_fit(data, restarts, seed):
+    """The search ``GPRegressor.fit`` runs, on ``reference_lml``; returns the
+    chosen c and length and the weights alpha."""
+    X, Y = data.parameters, data.coefficients
+    std = Y.std(axis=0)
+    Yn = (Y - Y.mean(axis=0)) / np.where(std > 0.0, std, 1.0)
+    c_box, l_box = np.log10(gpr.C_BOUNDS), np.log10(gpr.L_BOUNDS)
+    starts = np.random.default_rng(seed).uniform(
+        [c_box[0], l_box[0]], [c_box[1], l_box[1]], size=(restarts, 2))
+    best = (-np.inf, None)
+    for log_c, log_l in starts:
+        for _ in range(gpr.SWEEPS):
+            log_c, value = gpr._golden_max(
+                lambda t: reference_lml(X, Yn, 10.0**t, 10.0**log_l), *c_box)
+            log_l, value = gpr._golden_max(
+                lambda t: reference_lml(X, Yn, 10.0**log_c, 10.0**t), *l_box)
+        if np.isfinite(value) and value > best[0]:
+            best = (value, (log_c, log_l))
+    c, length = float(10.0 ** best[1][0]), float(10.0 ** best[1][1])
+    K = gpr.rbf_kernel(X, X, c, length) + gpr.JITTER * np.eye(len(X))
+    return c, length, cho_solve(cho_factor(K, lower=True), Yn)
 
 
 def reference_restart(layer_sizes, Xt, Yt, Xv, Yv, rng, max_steps):
@@ -195,13 +236,43 @@ class TestGPRegressor:
         model = GPRegressor(restarts=5, seed=0).fit(data)
         Y = data.coefficients
         Yn = (Y - Y.mean(axis=0)) / np.where(Y.std(axis=0) > 0, Y.std(axis=0), 1.0)
-        best = log_marginal_likelihood(data.parameters, Yn, model.c, model.length)
+        dists = sq_dists(data.parameters, data.parameters)
+        best = log_marginal_likelihood(dists, Yn, model.c, model.length)
         rng = np.random.default_rng(123)
         for _ in range(20):
             c = 10.0 ** rng.uniform(-1, 3)
             length = 10.0 ** rng.uniform(-3, 3)
-            probe = log_marginal_likelihood(data.parameters, Yn, c, length)
+            probe = log_marginal_likelihood(dists, Yn, c, length)
             assert best >= probe - 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 20), p=st.integers(1, 2), outputs=st.integers(1, 6),
+           log_c=st.floats(*np.log10(gpr.C_BOUNDS)), log_l=st.floats(*np.log10(gpr.L_BOUNDS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_likelihood_is_the_cho_factor_likelihood_bitwise(self, n, p, outputs, log_c,
+                                                             log_l, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, size=(n, p))
+        Y = rng.standard_normal((n, outputs))
+        c, length = 10.0**log_c, 10.0**log_l
+        dists = sq_dists(X, X)
+        value = log_marginal_likelihood(dists, Y, c, length)
+        assert value == reference_lml(X, Y, c, length)
+        # a negative amplitude makes the kernel matrix indefinite for both
+        assert log_marginal_likelihood(dists, Y, -c, length) == -np.inf
+        assert reference_lml(X, Y, -c, length) == -np.inf
+
+    @pytest.mark.parametrize("n, p, N, seed, restarts", [
+        (10, 1, 3, 31, 3),
+        (12, 2, 4, 32, 4),
+        (6, 2, 1, 33, 2),
+    ])
+    def test_fit_is_the_reference_search_bitwise(self, n, p, N, seed, restarts):
+        data = make_training_data(n=n, p=p, N=N, seed=seed)
+        model = GPRegressor(restarts=restarts, seed=seed).fit(data)
+        c, length, alpha = reference_gpr_fit(data, restarts, seed)
+        assert (model.c, model.length) == (c, length)
+        assert np.array_equal(model.alpha, alpha)
 
     def test_needs_two_pairs(self):
         data = TrainingData(np.array([[0.1]]), np.array([[1.0]]))
@@ -292,6 +363,32 @@ class TestMLPRegressor:
             assert isinstance(loss, float)
             assert losses[r] == loss
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @settings(max_examples=60, deadline=None)
+    @given(layers=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+           n=st.integers(1, 12), restarts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_gradients_into_flat_buffer_views_equal_allocating_call(self, dtype, layers, n,
+                                                                   restarts, seed):
+        # the fit's weights and gradients are per-layer views of one
+        # (restarts, parameters) array each, as are the first rows of a
+        # shrunken stack
+        rng = np.random.default_rng(seed)
+        shapes = [p.shape for p in init_params(layers, rng)]
+        flat = rng.standard_normal((restarts, sum(map(np.prod, shapes)))).astype(dtype)
+        X = rng.standard_normal((n, layers[0])).astype(dtype)
+        Y = rng.standard_normal((n, layers[-1])).astype(dtype)
+        grads = np.empty_like(flat)
+        params = mlp._layers(flat, shapes)
+        work = mlp.Work.allocate(params, n, mlp._layers(grads, shapes))
+        for k in range(restarts, 0, -1):
+            rows, work = mlp._layers(flat[:k], shapes), work.rows(k)
+            expected = loss_gradients([np.ascontiguousarray(p) for p in rows], X, Y)
+            got = loss_gradients(rows, X, Y, work)
+            assert all(np.shares_memory(g, grads) for g in got)
+            for g, e, view in zip(got, expected, mlp._layers(grads[:k], shapes)):
+                assert g.dtype == e.dtype == dtype
+                assert np.array_equal(g, e) and np.array_equal(view, e)
+
     @pytest.mark.parametrize("n, seed, restarts, max_steps, distinct_stops", [
         (10, 7, 2, 300, 1),  # every restart runs to the last step
         (6, 0, 4, 1000, 2),  # restarts run out of patience at different checks
@@ -335,8 +432,12 @@ class TestMLPRegressor:
         gradients = mlp.loss_gradients
 
         def poisoned(*args):
+            # the arrays returned are the fit's own buffers: NaN goes into them
             grads = gradients(*args)
-            return [np.full_like(g, np.nan) for g in grads] if next(calls) == 90 else grads
+            if next(calls) == 90:
+                for g in grads:
+                    g.fill(np.nan)
+            return grads
 
         monkeypatch.setattr(mlp, "loss_gradients", poisoned)
         with pytest.raises(TrainingError, match="diverged"):
@@ -434,35 +535,6 @@ class TestMLPRegressor:
             assert np.array_equal(saved, p)
             # float32 values, stored exactly in float64
             assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
-
-    def test_fit_does_not_depend_on_blas_threads(self, tmp_path):
-        # pairs shaped like heat's training set at paper scale (64 pairs of
-        # 2 parameters and 9 coefficients); BLAS reads its thread count
-        # once, at load, so each count fits in a fresh interpreter
-        child = textwrap.dedent("""
-            import hashlib, sys
-            import numpy as np
-            from ctrlrom.greedy_rom import TrainingData
-            from ctrlrom.surrogates import MLPRegressor
-
-            rng = np.random.default_rng(5)
-            X = rng.uniform(0.5, 2.0, size=(64, 2))
-            Y = np.sin(X @ rng.standard_normal((2, 9))) * np.logspace(0, -4, 9)
-            MLPRegressor(restarts=10, max_steps=600).fit(TrainingData(X, Y)).save(sys.argv[1])
-            with open(sys.argv[1], "rb") as f:
-                print(hashlib.sha256(f.read()).hexdigest())
-        """)
-        digests = []
-        for threads in ("2", "1"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-            done = subprocess.run([sys.executable, "-c", child, str(tmp_path / f"{threads}.bin")],
-                                  env=env, capture_output=True, text=True, check=True,
-                                  timeout=300)
-            digests.append(done.stdout.split())
-        assert len(digests[0]) == 1
-        assert digests[0] == digests[1]
 
     def test_save_load_round_trip(self, tmp_path):
         data = make_training_data(n=8, seed=15)
@@ -612,3 +684,36 @@ def test_fit_rejects_fewer_pairs_than_its_minimum(kind):
     data = TrainingData(np.zeros((cls.min_pairs - 1, 2)), np.zeros((cls.min_pairs - 1, 3)))
     with pytest.raises(ValueError, match=f"need at least {cls.min_pairs} training pair"):
         cls().fit(data)
+
+
+@pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))
+def test_fit_does_not_depend_on_blas_threads(tmp_path, kind):
+    # pairs shaped like heat's training set at paper scale (64 pairs of 2
+    # parameters and 9 coefficients), default settings but 600 mlp steps;
+    # BLAS reads its thread count once, at load, so each count fits in a
+    # fresh interpreter
+    settings = {"max_steps": 600} if kind == "mlp" else {}
+    child = textwrap.dedent("""
+        import hashlib, json, sys
+        import numpy as np
+        from ctrlrom.greedy_rom import TrainingData
+        from ctrlrom.surrogates import make_regressor
+
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0.5, 2.0, size=(64, 2))
+        Y = np.sin(X @ rng.standard_normal((2, 9))) * np.logspace(0, -4, 9)
+        model = make_regressor(sys.argv[1], **json.loads(sys.argv[2]))
+        model.fit(TrainingData(X, Y)).save(sys.argv[3])
+        with open(sys.argv[3], "rb") as f:
+            print(hashlib.sha256(f.read()).hexdigest())
+    """)
+    digests = []
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run([sys.executable, "-c", child, kind, json.dumps(settings),
+                               str(tmp_path / f"{threads}.bin")],
+                              env=env, capture_output=True, text=True, check=True, timeout=300)
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 1
+    assert digests[0] == digests[1]
