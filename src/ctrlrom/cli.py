@@ -5,7 +5,8 @@ Subcommands are the pipeline stages:
     offline           build the reduced basis on the training grid
     train-surrogates  fit the surrogates on the stored training data
     online            evaluate exact / reduced / learned models on test set
-    full-run          the three stages above in order, in one process
+    full-run          the three stages above in order, in one process, each
+                      reading what the one before it wrote
     svd-diag          singular values of the exact adjoints (damping sweep)
 
 Every field of ``ExperimentConfig`` is a flag, ``--key-with-dashes`` unless
@@ -19,7 +20,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import experiment, greedy_rom, surrogates
+from . import experiment
 
 _SPELLINGS = {"T": "--final-time", "surrogate_kinds": "--surrogates"}
 FLAGS = {f.name: _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
@@ -75,28 +76,19 @@ def _report(report):
 
 
 def _cmd_offline(cfg, args):
-    basis, _ = experiment.offline_stage(cfg)
+    basis = experiment.offline_stage(cfg)
     print(f"basis of size {basis.size} written to {Path(cfg.output_dir) / experiment.BASIS_FILE}")
     return 0
 
 
 def _cmd_train_surrogates(cfg, args):
-    training_data = greedy_rom.load_training_data(
-        Path(cfg.output_dir) / experiment.TRAINING_FILE,
-        n_params=experiment.build_family(cfg).domain.dim,
-    )
-    for kind in experiment.training_stage(cfg, training_data):
+    for kind in experiment.training_stage(cfg):
         print(f"fitted {kind} surrogate -> {experiment.surrogate_path(cfg.output_dir, kind)}")
     return 0
 
 
 def _cmd_online(cfg, args):
-    basis = greedy_rom.load_basis(Path(cfg.output_dir) / experiment.BASIS_FILE)
-    # the training stage fits no surrogate for an empty basis
-    kinds = cfg.surrogate_kinds if basis.size else ()
-    models = {kind: surrogates.load_model(experiment.surrogate_path(cfg.output_dir, kind))
-              for kind in kinds}
-    return _report(experiment.online_stage(cfg, basis, models))
+    return _report(experiment.online_stage(cfg))
 
 
 def _cmd_full_run(cfg, args):

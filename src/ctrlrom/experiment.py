@@ -8,9 +8,12 @@ parameter, the exact solution against the reduced and learned models.  Its
 ``RunReport`` is the table the error CSV holds: per model, one row per test
 parameter of the adjoint error in the weighted norm, its certified estimate
 and the control error in the discrete time-integrated norm, next to the
-per-query runtimes.  Each stage writes its own files into
-``config.output_dir`` and returns its result; ``run_experiment`` runs the
-three in order.
+per-query runtimes.  The stages hand over through their files alone:
+each takes only the config, reads what the stage before it wrote into
+``config.output_dir`` (the training data, then the basis with its greedy
+history and the surrogate files), writes its own files there and returns
+its result.  ``run_experiment`` runs the three in order, as the staged
+commands do.
 """
 
 import configparser
@@ -299,8 +302,8 @@ def _output_dir(config):
 def offline_stage(config):
     """Greedy reduced basis on the training grid.
 
-    Writes the config, the basis, the training pairs and the greedy history;
-    returns ``(basis, training_data)``.
+    Writes the config, the basis with its greedy history, the training
+    pairs and the history's CSV; returns the basis.
     """
     outdir = _output_dir(config)
     save_config(config, outdir / "config.ini")
@@ -319,33 +322,42 @@ def offline_stage(config):
                ["iteration", "basis_size", "estimated_max_error", "true_error_at_selected"],
                ([i, step.basis_size, step.estimated_max_error, step.true_error_at_selected]
                 for i, step in enumerate(basis.history)))
-    return basis, training_data
+    return basis
 
 
-def training_stage(config, training_data):
-    """Fit the requested surrogates and write one file per kind; returns
-    ``{kind: model}``.  An empty basis leaves nothing to learn: no model."""
+def training_stage(config):
+    """Fit the requested surrogates on the training data the offline stage
+    wrote and write one file per kind; returns ``{kind: model}``.  An empty
+    basis leaves nothing to learn: no model."""
+    outdir = Path(config.output_dir)
+    training_data = greedy_rom.load_training_data(outdir / TRAINING_FILE,
+                                                  n_params=build_family(config).domain.dim)
     if training_data.coefficients.shape[1] == 0:
         return {}
-    outdir = _output_dir(config)
     models = fit_surrogates(config, training_data)
     for kind, model in models.items():
         model.save(surrogate_path(outdir, kind))
     return models
 
 
-def online_stage(config, basis, models):
-    """Evaluate the reduced model and ``models`` on random test parameters
-    outside the training grid, one after another in this process, check the
-    run's invariants and write the error and timing CSVs; returns the
-    ``RunReport``.  Nothing runs without a basis, and a basis of another
+def online_stage(config):
+    """Evaluate the reduced model and the requested surrogates, as the
+    earlier stages wrote them, on random test parameters outside the
+    training grid, one after another in this process, check the run's
+    invariants and write the error and timing CSVs; returns the
+    ``RunReport``, which carries the basis file's greedy history.  An empty
+    basis has no surrogate files and no test parameters; a basis of another
     family or inner-product weight, or a model fitted to another basis size,
     raises ``ValueError`` before the first solve."""
+    outdir = Path(config.output_dir)
+    basis = greedy_rom.load_basis(outdir / BASIS_FILE)
     family = build_family(config)
     weight = family.build(family.domain.lows).ip.weight
     if (basis.family_name, basis.ip.weight) != (family.name, weight):
         raise ValueError(f"basis built for {basis.family_name} with inner-product weight "
                          f"{basis.ip.weight!r}, config is {family.name} with weight {weight!r}")
+    models = {kind: surrogates.load_model(surrogate_path(outdir, kind))
+              for kind in (config.surrogate_kinds if basis.size else ())}
     for kind, model in models.items():
         if model.n_outputs != basis.size:
             raise ValueError(f"{kind} model predicts {model.n_outputs} coefficients but "
@@ -375,7 +387,7 @@ def online_stage(config, basis, models):
                 inst.ip.norm(exact.phiT - sol.phiT_approx), sol.estimated_error,
                 dynamics.control_norm_dt(exact.control - sol.control, inst.grid.dt))
     _check_invariants(report)
-    emit_reports(report, _output_dir(config))
+    emit_reports(report, outdir)
     return report
 
 
@@ -397,11 +409,11 @@ def run_experiment(config):
     (outdir / FAILURE_MARKER).unlink(missing_ok=True)
     stage = "offline-greedy"
     try:
-        basis, training_data = offline_stage(config)
+        offline_stage(config)
         stage = "train-surrogates"
-        models = training_stage(config, training_data)
+        training_stage(config)
         stage = "online-evaluation"
-        return online_stage(config, basis, models)
+        return online_stage(config)
     except Exception as exc:
         (outdir / FAILURE_MARKER).write_text(
             f"stage: {stage}\nerror: {type(exc).__name__}: {exc}\n", encoding="utf-8"
@@ -412,14 +424,17 @@ def run_experiment(config):
 def damping_configs(config, damping_list=None):
     """The validated configs of a damping sweep, keyed by damping constant:
     for the wave family one per value in ``damping_list`` (default: its own
-    ``nu``), for the heat family, which takes no damping list, itself under None."""
+    ``nu``; a value named twice is rejected), for the heat family, which
+    takes no damping list, itself under None."""
     if config.family != "wave":
         if damping_list:
             raise ValueError(f"a damping sweep needs the wave family's damping constant, "
                              f"family {config.family} has none")
         return {None: config.validate()}
-    nus = damping_list if damping_list else [config.nu]
-    return {float(nu): replace(config, nu=float(nu)).validate() for nu in nus}
+    nus = [float(nu) for nu in damping_list] if damping_list else [config.nu]
+    if len(set(nus)) < len(nus):
+        raise ValueError(f"the damping list names a value twice: {nus!r}")
+    return {nu: replace(config, nu=nu).validate() for nu in nus}
 
 
 def run_svd_diagnostic(config, damping_list=None):

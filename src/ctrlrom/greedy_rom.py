@@ -46,11 +46,11 @@ def _require_finite(**arrays):
 
 @dataclass
 class GreedyStep:
-    """One row of the greedy history."""
+    """One row of the greedy history; the parameter a selection row selected
+    is the row ``basis_size`` of ``ReducedBasis.selected_params``."""
 
     basis_size: int
     estimated_max_error: float
-    selected_param: np.ndarray | None = None
     true_error_at_selected: float | None = None
 
 
@@ -265,7 +265,7 @@ def greedy_offline(
             )
             selectable[j] = False
             continue
-        basis.history.append(GreedyStep(basis.size, float(eta[j]), train_set[j], true_err))
+        basis.history.append(GreedyStep(basis.size, float(eta[j]), true_err))
         basis.vectors = np.vstack([basis.vectors, new_vec])
         basis.selected_params = np.vstack([basis.selected_params, train_set[j]])
 
@@ -298,15 +298,24 @@ def rom_online(inst, basis, certify=True):
 def save_basis(basis, path):
     """Write a reduced basis as a ``persist`` file of kind ``basis``: the
     vectors as the rows of an (N, n) array, the selected parameters as an
-    (N, p) array, family name, tolerance and inner-product weight as meta."""
+    (N, p) array, family name, tolerance and inner-product weight as meta.
+
+    A basis with a greedy history also stores it, as ``estimates`` (N+1),
+    the estimated maximum error of each row, and ``true_errors`` (N), the
+    true error of each selection row, which pairs row for row with the
+    selected parameters.  A row's basis size is its index."""
     meta = {"family": basis.family_name, "tolerance": basis.tolerance_used,
             "ip_weight": basis.ip.weight}
-    persist.write(path, "basis", meta, {"vectors": basis.vectors,
-                                        "selected_params": basis.selected_params})
+    arrays = {"vectors": basis.vectors, "selected_params": basis.selected_params}
+    if basis.history:
+        arrays["estimates"] = [step.estimated_max_error for step in basis.history]
+        arrays["true_errors"] = [step.true_error_at_selected for step in basis.history[:-1]]
+    persist.write(path, "basis", meta, arrays)
 
 
 def load_basis(path):
-    """Read a reduced basis written by ``save_basis``."""
+    """Read a reduced basis written by ``save_basis``, with its greedy history;
+    a file without the two history arrays loads with an empty history."""
     _, meta, arrays = persist.read(path, "basis")
     try:
         if not isinstance(meta["family"], str):
@@ -314,13 +323,26 @@ def load_basis(path):
         for name in ("ip_weight", "tolerance"):
             if not (persist.is_real(meta[name]) and math.isfinite(meta[name])):
                 raise ValueError(f"{name} {meta[name]!r} is not a finite real number")
-        return ReducedBasis(
+        if not meta["tolerance"] > 0:
+            raise ValueError(f"tolerance {meta['tolerance']!r} is not positive")
+        basis = ReducedBasis(
             vectors=arrays["vectors"],
             selected_params=arrays["selected_params"],
             ip=InnerProduct(weight=meta["ip_weight"]),
             tolerance_used=meta["tolerance"],
             family_name=meta["family"],
         )
+        if "estimates" in arrays or "true_errors" in arrays:
+            estimates, true_errors = arrays["estimates"], arrays["true_errors"]
+            if estimates.shape != (basis.size + 1,) or true_errors.shape != (basis.size,):
+                raise ValueError(f"estimates of shape {estimates.shape} and true errors of shape "
+                                 f"{true_errors.shape} do not pair up with {basis.size} "
+                                 f"selected parameters")
+            _require_finite(estimates=estimates, true_errors=true_errors)
+            basis.history = [GreedyStep(i, float(estimate), float(true_error))
+                             for i, (estimate, true_error) in enumerate(zip(estimates, true_errors))]
+            basis.history.append(GreedyStep(basis.size, float(estimates[-1])))
+        return basis
     except KeyError as exc:
         raise ValueError(f"{path}: basis record lacks {exc}") from None
     except ValueError as exc:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctrlrom import experiment
+from ctrlrom import experiment, persist
 from ctrlrom.cli import FLAGS, _report, _resolve_config, build_parser, main
 from ctrlrom.errors import ConvergenceError, GreedyBudgetError
 from ctrlrom.experiment import (
@@ -459,6 +459,8 @@ class TestSvdDiagnostic:
                                train_grid=(4,), output_dir=str(tmp_path / "svd")).validate()
         with pytest.raises(ValueError, match="damping constant must be non-negative, got -1"):
             run_svd_diagnostic(cfg, damping_list=[0.0, 10.0, -1.0])
+        with pytest.raises(ValueError, match=r"names a value twice: \[5\.0, 0\.0, 5\.0\]"):
+            run_svd_diagnostic(cfg, damping_list=[5, 0.0, 5.0])
         heat = tiny_heat_config(tmp_path / "svd")
         with pytest.raises(ValueError, match="family heat has none"):
             run_svd_diagnostic(heat, damping_list=[0.0, 10.0])
@@ -552,6 +554,39 @@ class TestCli:
             assert (tmp_path / "staged" / name).read_bytes() == \
                 (tmp_path / "full" / name).read_bytes(), name
 
+    def test_staged_online_prints_the_greedy_history_full_run_prints(self, tmp_path, capsys):
+        printed = {}
+        for name, commands in (("staged", ("offline", "train-surrogates", "online")),
+                               ("full", ("full-run",))):
+            cfg_path = tmp_path / f"{name}.ini"
+            save_config(tiny_heat_config(tmp_path / name, test_count=1), cfg_path)
+            capsys.readouterr()
+            for command in commands:
+                assert main([command, "--config", str(cfg_path)]) == 0
+            printed[name] = [line for line in capsys.readouterr().out.splitlines()
+                             if "greedy size" in line]
+        assert len(printed["full"]) > 1
+        assert printed["staged"] == printed["full"]
+
+    def test_online_runs_on_a_basis_file_without_history(self, tmp_path, capsys):
+        # the basis layout written before the greedy history joined the file
+        outdir = tmp_path / "staged"
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(tiny_heat_config(outdir, test_count=2), cfg_path)
+        assert main(["offline", "--config", str(cfg_path)]) == 0
+        assert main(["train-surrogates", "--config", str(cfg_path)]) == 0
+        path = outdir / "basis.crb"
+        _, meta, arrays = persist.read(path, "basis")
+        persist.write(path, "basis", meta, {name: arrays[name]
+                                            for name in ("vectors", "selected_params")})
+        capsys.readouterr()
+        assert main(["online", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "greedy size" not in out
+        assert f"reduced basis size: {len(arrays['vectors'])}" in out
+        lines = (outdir / "analysis_results_errors.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 2
+
     def test_flag_overrides(self, tmp_path):
         outdir = tmp_path / "flags"
         assert main([
@@ -602,5 +637,19 @@ class TestCli:
             main(["svd-diag", "--family", "wave", "--n-y", "6", "--train-grid", "4",
                   "--damping", "0", "10", "-1", "--output-dir", str(outdir)])
         assert exit_.value.code == 2
+        assert solves == []
+        assert not outdir.exists()
+
+    def test_svd_diag_rejects_damping_named_twice_before_any_solve(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        # one solve would otherwise write a single sigma[nu=5] column
+        solves = []
+        monkeypatch.setattr(experiment, "solve_exact", lambda *a, **k: solves.append(a))
+        outdir = tmp_path / "svd"
+        with pytest.raises(SystemExit) as exit_:
+            main(["svd-diag", "--family", "wave", "--n-y", "6", "--train-grid", "4",
+                  "--damping", "5", "5", "--output-dir", str(outdir)])
+        assert exit_.value.code == 2
+        assert "names a value twice" in capsys.readouterr().err
         assert solves == []
         assert not outdir.exists()

@@ -205,7 +205,7 @@ class TestGreedyOffline:
     def test_true_error_tracking(self):
         fam, train = small_train_set((3, 3))
         basis, _ = greedy_offline(fam, train, tol=1e-4, cg_tol=1e-13)
-        tracked = [s.true_error_at_selected for s in basis.history if s.selected_param is not None]
+        tracked = [s.true_error_at_selected for s in basis.history[:-1]]
         assert all(t is not None for t in tracked)
         # estimator reliability: estimated max dominates the true error there
         for step in basis.history[:-1]:
@@ -420,6 +420,16 @@ class TestPersistence:
             save_basis(loaded, tmp_path / "again.crb")
             assert (tmp_path / "again.crb").read_bytes() == path.read_bytes()
         assert basis.size == 0 and loaded.matrix().shape == (8, 0)
+
+    def test_basis_round_trip_keeps_history(self, tmp_path):
+        fam, train = small_train_set((3, 3))
+        for tol in (1e-4, 1e9):
+            basis, _ = greedy_offline(fam, train, tol=tol, cg_tol=1e-13)
+            save_basis(basis, tmp_path / "basis.crb")
+            loaded = load_basis(tmp_path / "basis.crb")
+            assert loaded.history == basis.history
+            assert [s.basis_size for s in loaded.history] == list(range(basis.size + 1))
+            assert loaded.history[-1].true_error_at_selected is None
 
     def test_training_data_round_trip(self, tmp_path):
         fam, train = small_train_set((2, 2))

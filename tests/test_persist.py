@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,7 @@ class TestHeaderTypes:
         ("basis", {"ip_weight": float("nan")}),
         ("basis", {"tolerance": "x"}),
         ("basis", {"tolerance": float("inf")}),
+        ("basis", {"tolerance": -1.0}),  # the greedy requires a positive tolerance
         ("kernel", {"n_outputs": "6"}),
         ("kernel", {"n_outputs": True}),
         ("kernel", {"beta": "0.5"}),
@@ -79,7 +81,7 @@ class TestHeaderTypes:
         ("gpr", {"c": float("nan")}),
         ("mlp", {"n_outputs": 6.0}),
     ], ids=["family-int", "ip_weight-str", "ip_weight-nan", "tolerance-str", "tolerance-inf",
-            "n_outputs-str", "n_outputs-bool", "beta-str", "beta-inf", "length-null", "c-nan",
+            "tolerance-negative", "n_outputs-str", "n_outputs-bool", "beta-str", "beta-inf", "length-null", "c-nan",
             "n_outputs-float"])
     def test_wrong_type_rejected(self, saved_files, tmp_path, kind, change):
         _, meta, arrays = persist.read(saved_files[kind], kind)
@@ -119,10 +121,16 @@ class TestContainer:
             ("basis", basis_meta, {"vectors": np.zeros((4, 6)),
                                    "selected_params": np.zeros((3, 2))}),
         ]
+        # a greedy history of one selection has 2 estimates and 1 true error
+        selection = {"vectors": np.eye(1, 6), "selected_params": np.zeros((1, 2))}
+        for estimates, true_errors in (((3,), (1,)), ((1,), (1,)), ((2,), (2,)),
+                                       ((2, 1), (1,)), ((2,), (1, 1))):
+            records.append(("basis", basis_meta, {**selection, "estimates": np.ones(estimates),
+                                                  "true_errors": np.ones(true_errors)}))
         for i, (kind, meta, arrays) in enumerate(records):
             path = tmp_path / f"{kind}_{i}.bin"
             persist.write(path, kind, meta, arrays)
-            with pytest.raises(ValueError, match=f"{re.escape(path.name)}.*do not pair up"):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*do not pair up"):
                 LOADERS[kind](path)
 
 
@@ -156,3 +164,43 @@ class TestNonFiniteArrays:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{name} holds a NaN "
                                                  f"or an infinity"):
                 LOADERS[kind](path)
+
+
+class TestBasisHistory:
+    def test_file_without_history_loads_with_empty_history(self, saved_files, tmp_path):
+        # the layout written before the history joined the file
+        _, meta, arrays = persist.read(saved_files["basis"], "basis")
+        path = tmp_path / "basis.crb"
+        persist.write(path, "basis", meta, {name: arrays[name]
+                                            for name in ("vectors", "selected_params")})
+        loaded = load_basis(path)
+        assert loaded.history == []
+        np.testing.assert_array_equal(loaded.vectors, arrays["vectors"])
+
+    @pytest.mark.parametrize("present", ["estimates", "true_errors"])
+    def test_history_needs_both_arrays(self, tmp_path, present):
+        path = tmp_path / "basis.crb"
+        persist.write(path, "basis", {"family": "heat", "tolerance": 1e-4, "ip_weight": 0.1}, {
+            "vectors": np.eye(1, 6), "selected_params": np.ones((1, 2)), present: np.ones(1)})
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: basis record lacks"):
+            load_basis(path)
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_persistence_table_lists_every_array(saved_files):
+    """Each array a saved file's header names appears in its kind's row of
+    the README's persistence table; the mlp's ``param_<i>`` is the row's
+    ``param_0``, ``param_1``, ..."""
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[1].startswith("`"):
+            rows[cells[1].strip("`")] = cells[3]
+    assert set(rows) == set(saved_files)
+    for kind, path in saved_files.items():
+        _, _, arrays = persist.read(path, kind)
+        for name in arrays:
+            listed = "`param_0`, `param_1`" if re.fullmatch(r"param_\d+", name) else f"`{name}`"
+            assert listed in rows[kind], (kind, name)
