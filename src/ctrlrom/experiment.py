@@ -230,6 +230,16 @@ def _regressor(config, kind):
     return surrogates.make_regressor(kind, seed=config.surrogate_seed, **settings)
 
 
+def _require_pairs(config, pairs, source):
+    """Reject ``pairs`` training pairs, counted in ``source``, when a requested
+    surrogate's fit needs more: before any fit, with the kind named."""
+    for kind in config.surrogate_kinds:
+        needed = surrogates.REGRESSOR_CLASSES[kind].min_pairs
+        if pairs < needed:
+            raise ValueError(f"the {kind} surrogate needs at least {needed} training pairs, "
+                             f"{source} {pairs}")
+
+
 def fit_surrogates(config, training_data):
     """Fit every requested surrogate on the greedy training pairs."""
     return {kind: _regressor(config, kind).fit(training_data)
@@ -327,11 +337,13 @@ def offline_stage(config):
 
 def training_stage(config):
     """Fit the requested surrogates on the training data the offline stage
-    wrote and write one file per kind; returns ``{kind: model}``.  An empty
-    basis leaves nothing to learn: no model."""
+    wrote and write one file per kind; returns ``{kind: model}``.  Fewer
+    pairs than a requested surrogate needs raise ``ValueError`` before any
+    fit.  An empty basis leaves nothing to learn: no model."""
     outdir = Path(config.output_dir)
     training_data = greedy_rom.load_training_data(outdir / TRAINING_FILE,
                                                   n_params=build_family(config).domain.dim)
+    _require_pairs(config, len(training_data.parameters), f"{TRAINING_FILE} holds")
     if training_data.coefficients.shape[1] == 0:
         return {}
     models = fit_surrogates(config, training_data)
@@ -399,12 +411,8 @@ def run_experiment(config):
     a marker file naming it in the output directory, next to the files of
     the stages that finished, before the exception propagates.
     """
-    pairs = math.prod(config.validate().train_grid)
-    for kind in config.surrogate_kinds:
-        needed = surrogates.REGRESSOR_CLASSES[kind].min_pairs
-        if pairs < needed:
-            raise ValueError(f"the {kind} surrogate needs at least {needed} training pairs, "
-                             f"train_grid {_format_value(config.train_grid)} has {pairs}")
+    _require_pairs(config.validate(), math.prod(config.train_grid),
+                   f"train_grid {_format_value(config.train_grid)} has")
     outdir = _output_dir(config)
     (outdir / FAILURE_MARKER).unlink(missing_ok=True)
     stage = "offline-greedy"

@@ -24,7 +24,6 @@ g-rom's and each surrogate's, multiplies through the C-ordered (n, N) array
 """
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,10 +320,8 @@ def load_basis(path):
         if not isinstance(meta["family"], str):
             raise ValueError(f"family {meta['family']!r} is not a string")
         for name in ("ip_weight", "tolerance"):
-            if not (persist.is_real(meta[name]) and math.isfinite(meta[name])):
-                raise ValueError(f"{name} {meta[name]!r} is not a finite real number")
-        if not meta["tolerance"] > 0:
-            raise ValueError(f"tolerance {meta['tolerance']!r} is not positive")
+            if not (persist.is_real(meta[name]) and meta[name] > 0):
+                raise ValueError(f"{name} {meta[name]!r} is not a positive real number")
         basis = ReducedBasis(
             vectors=arrays["vectors"],
             selected_params=arrays["selected_params"],
@@ -338,7 +335,6 @@ def load_basis(path):
                 raise ValueError(f"estimates of shape {estimates.shape} and true errors of shape "
                                  f"{true_errors.shape} do not pair up with {basis.size} "
                                  f"selected parameters")
-            _require_finite(estimates=estimates, true_errors=true_errors)
             basis.history = [GreedyStep(i, float(estimate), float(true_error))
                              for i, (estimate, true_error) in enumerate(zip(estimates, true_errors))]
             basis.history.append(GreedyStep(basis.size, float(estimates[-1])))

@@ -5,9 +5,11 @@ length, a UTF-8 JSON header ``{"kind", "meta", "arrays": [[name, shape],
 ...]}``, then the arrays as raw little-endian float64 in header order
 (row-major).  ``kind`` names what the file holds (``basis``,
 ``training_data`` or a regressor kind), ``meta`` its scalar settings.
-``read`` checks the header and that the payload holds exactly the bytes the
-shapes promise, so a truncated or extended file raises instead of loading
-as different numbers.
+``read`` checks the header, that the payload holds exactly the bytes the
+shapes promise and that no number, in the meta or in an array, is a NaN or
+an infinity, so a truncated, extended or non-finite file of any kind raises
+instead of loading as different numbers.  Each kind's loader checks what
+its values must be beyond that.
 """
 
 import json
@@ -47,8 +49,9 @@ def read(path, *kinds):
 
     Returns ``(kind, meta, arrays)`` with arrays as a name -> float64 array
     dict in header order.  Raises ``ValueError`` naming the file when it is
-    not such a file, holds another kind, or its payload is not exactly the
-    arrays its header lists.
+    not such a file, holds another kind, its payload is not exactly the
+    arrays its header lists, or a meta number or an array entry is a NaN or
+    an infinity (naming the value or the array).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -71,6 +74,9 @@ def read(path, *kinds):
         d < 0 for _, shape in shapes for d in shape
     ):
         raise ValueError(f"{path}: malformed header")
+    for name, value in meta.items():
+        if is_real(value) and not math.isfinite(value):
+            raise ValueError(f"{path}: meta value {name} = {value!r} is not finite")
     counts = [math.prod(shape) for _, shape in shapes]
     payload = len(data) - start - size
     if payload != 8 * sum(counts):
@@ -80,6 +86,8 @@ def read(path, *kinds):
     arrays, offset = {}, start + size
     for (name, shape), count in zip(shapes, counts):
         flat = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(flat).all():
+            raise ValueError(f"{path}: array {name} holds a NaN or an infinity")
         arrays[name] = flat.reshape(shape).astype(float)
         offset += 8 * count
     return kind, meta, arrays

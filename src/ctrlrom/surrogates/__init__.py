@@ -33,9 +33,10 @@ def make_regressor(kind, **settings):
 
 
 def load_model(path):
-    """Load a persisted surrogate of any kind, dispatching on its header."""
-    kind, _, _ = persist.read(path, *REGRESSOR_CLASSES)
-    return REGRESSOR_CLASSES[kind].load(path)
+    """Load a persisted surrogate of any kind, dispatching on the kind its
+    header names; the file is read once."""
+    kind, meta, arrays = persist.read(path, *REGRESSOR_CLASSES)
+    return REGRESSOR_CLASSES[kind]._from_record(path, meta, arrays)
 
 
 def surrogate_online(inst, basis, model, certify=True):

@@ -1,7 +1,5 @@
 """Shared interface for parameter-to-coefficient regressors."""
 
-import math
-
 import numpy as np
 
 from .. import persist
@@ -15,19 +13,24 @@ def sq_dists(x, y):
 
 
 class CoefficientRegressor:
-    """Base class for surrogates mapping parameters to reduced coefficients.
+    """Base class for surrogates mapping parameters to reduced coefficients,
+    and the one owner of their contract.
 
-    Subclasses implement ``fit(training_data)`` and ``_predict_one(x)``, set
-    ``kind`` and ``min_pairs``, the fewest training pairs ``fit`` accepts,
-    and name the fitted attributes ``predict`` reads: scalars in
-    ``hyper_parameters``, arrays in ``fitted_arrays`` with the shape of each.
-    A shape's entries are sizes or the names ``"n_outputs"``, ``"inputs"``
-    (the parameter dimension) and ``"rows"`` (the model's own row count,
-    such as its centers).  ``save`` writes those and ``load`` checks their
-    types and shapes and that they are finite, and sets them on a model
-    built with default arguments.  Prediction is
-    deterministic after fitting and returns an array whose length matches
-    the basis size the model was trained against.
+    Subclasses set ``kind`` and ``min_pairs``, the fewest training pairs a
+    fit accepts, implement ``_fit(X, Y)`` and ``_predict_one(x)``, and name
+    the fitted attributes ``predict`` reads: positive scalars in
+    ``hyper_parameters``, arrays in ``fitted_arrays`` with the shape of
+    each.  A shape's entries are sizes or the names ``"n_outputs"``,
+    ``"inputs"`` (the parameter dimension) and ``"rows"`` (the model's own
+    row count, such as its centers).  ``fit`` checks the pair count, calls
+    ``_fit`` and records ``n_outputs``; ``save`` writes the fitted
+    attributes, and ``load`` (``surrogates.load_model`` for any kind) reads
+    them back through ``_from_record``, which checks the header values'
+    types and the arrays' shapes (``persist.read`` has checked that every
+    number is finite) and sets them on a model built with default
+    arguments.  Prediction is deterministic after fitting and returns an
+    array whose length matches the basis size the model was trained
+    against.
     """
 
     kind = "abstract"
@@ -39,6 +42,16 @@ class CoefficientRegressor:
         self.n_outputs = None
 
     def fit(self, data):
+        """Fit to the pairs of a ``TrainingData`` record; returns the model."""
+        X, Y = data.parameters, data.coefficients
+        if len(X) < self.min_pairs:
+            raise ValueError(f"{self.kind} fit: need at least {self.min_pairs} training "
+                             f"pair{'s' * (self.min_pairs > 1)}, got {len(X)}")
+        self._fit(X, Y)
+        self.n_outputs = Y.shape[1]
+        return self
+
+    def _fit(self, X, Y):
         raise NotImplementedError
 
     def _predict_one(self, x):
@@ -74,13 +87,21 @@ class CoefficientRegressor:
     def load(cls, path):
         """Read a model written by ``save`` of the same kind."""
         _, meta, arrays = persist.read(path, cls.kind)
+        return cls._from_record(path, meta, arrays)
+
+    @classmethod
+    def _from_record(cls, path, meta, arrays):
+        """The model in the record ``persist.read`` returned for ``path``:
+        ``n_outputs`` must be an integer, every hyper-parameter a positive
+        number and every array of its shape, or a ``ValueError`` names the
+        file."""
         model = cls()
         try:
             for name in ("n_outputs", *cls.hyper_parameters):
-                value = meta[name]
-                if not (persist.is_real(value) and math.isfinite(value)
-                        and (name != "n_outputs" or isinstance(value, int))):
-                    what = "an integer" if name == "n_outputs" else "a finite real number"
+                value, integer = meta[name], name == "n_outputs"
+                if not (persist.is_real(value) and (isinstance(value, int) if integer
+                                                    else value > 0)):
+                    what = "an integer" if integer else "a positive real number"
                     raise ValueError(f"{path}: {cls.kind} record holds {name} = {value!r}, not "
                                      f"{what}")
                 setattr(model, name, value)
@@ -92,9 +113,6 @@ class CoefficientRegressor:
                 if len(found) != len(shape) or found != expected:
                     raise ValueError(f"{path}: {cls.kind} array {name} has shape {found}, not "
                                      f"{shape} with n_outputs = {model.n_outputs}")
-                if not np.all(np.isfinite(arrays[name])):
-                    raise ValueError(f"{path}: {cls.kind} array {name} holds a NaN or an "
-                                     f"infinity")
             model._set_arrays(arrays)
         except KeyError as exc:
             raise ValueError(f"{path}: {cls.kind} record lacks {exc}") from None

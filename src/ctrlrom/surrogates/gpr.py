@@ -103,10 +103,7 @@ class GPRegressor(CoefficientRegressor):
         self.y_mean = None
         self.y_std = None
 
-    def fit(self, data):
-        X, Y = data.parameters, data.coefficients
-        if X.shape[0] < self.min_pairs:
-            raise ValueError(f"need at least {self.min_pairs} training pairs")
+    def _fit(self, X, Y):
         self.y_mean = Y.mean(axis=0)
         std = Y.std(axis=0)
         self.y_std = np.where(std > 0.0, std, 1.0)
@@ -139,8 +136,6 @@ class GPRegressor(CoefficientRegressor):
         self.inputs = np.array(X, order="C")  # a copy: the model must not alias its data
         L, _ = _factor(dists, self.c, self.length)  # the winner's factor: its value was finite
         self.alpha = np.ascontiguousarray(dpotrs(L, Yn, lower=1)[0])
-        self.n_outputs = Y.shape[1]
-        return self
 
     def _predict_one(self, x):
         kvec = rbf_kernel(x[None, :], self.inputs, self.c, self.length)[0]

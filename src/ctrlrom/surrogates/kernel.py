@@ -39,7 +39,7 @@ class KernelRegressor(CoefficientRegressor):
         self.newton_triangle = None  # rows of the Newton basis at the centers
         self.coefficients = None
 
-    def fit(self, data):
+    def _fit(self, X, Y):
         """Greedy center selection and interpolation in the Newton basis.
 
         The squared power function starts at k(x, x) = 1 everywhere and
@@ -47,9 +47,6 @@ class KernelRegressor(CoefficientRegressor):
         interpolant is extended alongside, so the training residual at the
         selected centers vanishes by construction.
         """
-        X, Y = data.parameters, data.coefficients
-        if X.shape[0] < self.min_pairs:
-            raise ValueError(f"need at least {self.min_pairs} training pair")
         n = X.shape[0]
 
         power = np.ones(n)
@@ -75,8 +72,6 @@ class KernelRegressor(CoefficientRegressor):
         self.centers = np.ascontiguousarray(X[selected])
         self.newton_triangle = np.ascontiguousarray(newton[selected])
         self.coefficients = np.ascontiguousarray(coeffs)
-        self.n_outputs = Y.shape[1]
-        return self
 
     def _newton_values(self, x):
         """Newton basis functions of the selected centers at inputs x."""

@@ -265,11 +265,8 @@ class MLPRegressor(CoefficientRegressor):
                 work = work.rows(k)
         return [layer.astype(np.float64) for layer in _layers(best, shapes)], diverged
 
-    def fit(self, data):
-        X, Y = data.parameters, data.coefficients
+    def _fit(self, X, Y):
         n = X.shape[0]
-        if n < self.min_pairs:
-            raise ValueError(f"need at least {self.min_pairs} training pairs")
         layer_sizes = [X.shape[1], *HIDDEN_LAYERS, Y.shape[1]]
 
         self.y_min = Y.min(axis=0)
@@ -292,8 +289,6 @@ class MLPRegressor(CoefficientRegressor):
         if train_loss[winner] == np.inf:
             raise TrainingError("all mlp restarts diverged")
         self.params = [p[winner].copy() for p in best]
-        self.n_outputs = Y.shape[1]
-        return self
 
     def _predict_one(self, x):
         out, _ = forward(self.params, x[None, :])

@@ -492,6 +492,17 @@ class TestCli:
         # offline stage's file
         assert (outdir / "greedy_results.csv").read_bytes() == history
 
+    def test_train_surrogates_rejects_too_few_pairs_before_any_fit(self, tmp_path):
+        flags = ["--family", "heat", "--n-y", "6", "--train-grid", "2", "2",
+                 "--output-dir", str(tmp_path)]
+        assert main(["offline", *flags]) == 0
+        with pytest.raises(ValueError, match="^the mlp surrogate needs at least 5 training "
+                                             "pairs, training_data.bin holds 4$"):
+            main(["train-surrogates", *flags])
+        assert not list(tmp_path.glob("surrogate_*.bin"))
+        assert main(["train-surrogates", *flags, "--surrogates", "kernel", "gpr"]) == 0
+        assert (tmp_path / "surrogate_gpr.bin").exists()
+
     def test_online_rejects_missing_surrogate_file(self, tmp_path):
         outdir = tmp_path / "staged"
         cfg_path = tmp_path / "cfg.ini"

@@ -77,11 +77,16 @@ class TestHeaderTypes:
         ("kernel", {"n_outputs": True}),
         ("kernel", {"beta": "0.5"}),
         ("kernel", {"beta": float("inf")}),
+        ("kernel", {"beta": -1.0}),  # no fit or constructor gives a hyper-parameter <= 0
+        ("kernel", {"beta": 0}),
         ("gpr", {"length": None}),
         ("gpr", {"c": float("nan")}),
+        ("gpr", {"c": -2.0}),
+        ("gpr", {"length": 0.0}),
         ("mlp", {"n_outputs": 6.0}),
     ], ids=["family-int", "ip_weight-str", "ip_weight-nan", "tolerance-str", "tolerance-inf",
-            "tolerance-negative", "n_outputs-str", "n_outputs-bool", "beta-str", "beta-inf", "length-null", "c-nan",
+            "tolerance-negative", "n_outputs-str", "n_outputs-bool", "beta-str", "beta-inf",
+            "beta-negative", "beta-zero", "length-null", "c-nan", "c-negative", "length-zero",
             "n_outputs-float"])
     def test_wrong_type_rejected(self, saved_files, tmp_path, kind, change):
         _, meta, arrays = persist.read(saved_files[kind], kind)
@@ -89,6 +94,20 @@ class TestHeaderTypes:
         persist.write(bad, kind, {**meta, **change}, arrays)
         with pytest.raises(ValueError, match=re.escape(bad.name)):
             LOADERS[kind](bad)
+
+
+class TestReadOnce:
+    @pytest.mark.parametrize("kind", ["kernel", "gpr", "mlp"])
+    def test_load_model_reads_the_file_once(self, saved_files, monkeypatch, kind):
+        reads, read = [], persist.read
+
+        def counting_read(path, *kinds):
+            reads.append(path)
+            return read(path, *kinds)
+
+        monkeypatch.setattr(persist, "read", counting_read)
+        load_model(saved_files[kind])
+        assert reads == [saved_files[kind]]
 
 
 class TestContainer:

@@ -687,6 +687,17 @@ def test_fit_rejects_fewer_pairs_than_its_minimum(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))
+def test_kind_keeps_the_shared_contract(kind):
+    # a kind fits through ``_fit`` and inherits the checks of ``fit``, ``save``
+    # and ``load``, so no kind can skip the pair count or the file checks
+    cls = REGRESSOR_CLASSES[kind]
+    assert "_fit" in vars(cls)
+    own = {name for klass in cls.__mro__[:cls.__mro__.index(CoefficientRegressor)]
+           for name in vars(klass)}
+    assert not own & {"fit", "save", "load", "_from_record"}
+
+
+@pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))
 def test_fit_does_not_depend_on_blas_threads(tmp_path, kind):
     # pairs shaped like heat's training set at paper scale (64 pairs of 2
     # parameters and 9 coefficients), default settings but 600 mlp steps;
