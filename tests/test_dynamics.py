@@ -294,17 +294,35 @@ class TestBlockSweeps:
             column = solve_adjoint_backward(inst, P[:, i])
             assert relative_gap(controls[:, :, i], column) <= 1e-13
 
-    @pytest.mark.parametrize("family", [build_heat_family(), build_wave_family(n_y=60)],
-                             ids=["heat", "wave"])
-    def test_vector_sweeps_equal_block_columns_bitwise(self, family, rng):
+    @pytest.mark.parametrize(
+        "family, offset",
+        [(build_heat_family(), 0), (build_wave_family(n_y=60), 0),
+         (build_heat_family(), 16), (build_wave_family(n_y=60), 16)],
+        ids=["heat", "wave", "heat-offset16", "wave-offset16"])
+    def test_vector_sweeps_equal_block_columns_bitwise(self, family, offset, rng):
         # a vector steps through np.dot, a block through the stacked
         # np.matmul; both must make the same BLAS product at the benchmark
-        # sizes (n = 100 and 120), where the certificates cancel O(1) terms
+        # sizes (n = 100 and 120), where the certificates cancel O(1) terms.
+        # A propagator moved 16 bytes past its cache line steps slower but
+        # must give the aligned run's bits: alignment moves speed only
         inst = family.build(family.domain.highs)
         P = rng.standard_normal((inst.n, 3))
-        controls = solve_adjoint_backward(inst, P)
-        states = solve_state_forward(inst, P, controls)
-        free = solve_state_forward(inst, P)
+
+        def sweeps():
+            controls = solve_adjoint_backward(inst, P)
+            return controls, solve_state_forward(inst, P, controls), solve_state_forward(inst, P)
+
+        controls, states, free = sweeps()
+        if offset:
+            S = inst.step_propagator
+            raw = np.empty(S.nbytes + 64 + offset, dtype=np.uint8)
+            start = -raw.ctypes.data % 64 + offset
+            moved = raw[start : start + S.nbytes].view(np.float64).reshape(S.shape, order="F")
+            moved[...] = S
+            assert moved.ctypes.data % 64 == offset and moved.flags.f_contiguous
+            inst.step_propagator, inst.step_propagator_T = moved, moved.T
+            for moved_run, aligned_run in zip(sweeps(), (controls, states, free)):
+                np.testing.assert_array_equal(moved_run, aligned_run)
         for i in range(3):
             column = solve_adjoint_backward(inst, P[:, i])
             np.testing.assert_array_equal(controls[:, :, i], column)

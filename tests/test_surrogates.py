@@ -33,7 +33,7 @@ from ctrlrom.surrogates.base import CoefficientRegressor, sq_dists
 from ctrlrom.surrogates.gpr import log_marginal_likelihood
 from ctrlrom.surrogates.kernel import P_GREEDY_TOL
 from ctrlrom.surrogates.mlp import forward, init_params, loss_gradients, mse_loss
-from ctrlrom.system import build_heat_family, sample_grid
+from ctrlrom.system import build_heat_family, build_wave_family, sample_grid
 
 from conftest import CORRUPTIONS, corrupted_copy
 
@@ -676,6 +676,43 @@ class TestTransferBound:
             bound = eps + np.linalg.norm(alpha - sol.coeffs)
             assert true_err <= bound * (1 + 1e-6) + floor
             assert true_err <= sol.estimated_error * (1 + 1e-6) + floor
+
+
+TINY_CG_TOL = 1e-12
+
+
+@pytest.fixture(scope="module", params=["heat", "wave"])
+def tiny_pipeline(request):
+    """A tiny family with its greedy basis and one fitted model per surrogate kind."""
+    if request.param == "heat":
+        fam, grid, tol = build_heat_family(n_y=8, T=0.1, steps_per_point=10), [4, 4], 1e-5
+    else:
+        fam, grid, tol = build_wave_family(n_y=6), [7], 1e-2
+    basis, data = greedy_offline(fam, sample_grid(fam.domain, grid), tol=tol,
+                                 cg_tol=TINY_CG_TOL)
+    models = [KernelRegressor(beta=0.5), GPRegressor(restarts=3),
+              MLPRegressor(restarts=2, max_steps=1000)]
+    return fam, basis, {model.kind: model.fit(data) for model in models}
+
+
+class TestCertificateProperty:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_true_error_at_most_the_estimate(self, tiny_pipeline, data):
+        # anywhere in the box, its faces and corners included, the g-rom and
+        # every surrogate report an estimate no smaller than their distance to
+        # the optimal adjoint.  The reference is itself a CG answer, at most
+        # its verified residual from the optimum, since (I + M Gramian) >= I
+        fam, basis, models = tiny_pipeline
+        mu = [data.draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+              for lo, hi in zip(fam.domain.lows, fam.domain.highs)]
+        inst = fam.build(mu)
+        exact = solve_exact(inst, cg_tol=TINY_CG_TOL)
+        answers = {"g-rom": rom_online(inst, basis)}
+        answers.update({kind: surrogate_online(inst, basis, m) for kind, m in models.items()})
+        for name, sol in answers.items():
+            true_err = inst.ip.norm(exact.phiT - sol.phiT_approx)
+            assert true_err <= sol.estimated_error + exact.residual_norm, (name, mu)
 
 
 @pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))

@@ -171,3 +171,18 @@ class TestDomainValidation:
         dom = ParameterDomain(lows=[0.0, 0.0], highs=[1.0, 2.0])
         assert dom.contains([0.5, 1.0])
         assert not dom.contains([1.5, 1.0])
+
+
+class TestPropagatorLayout:
+    # the heap hands out 16-byte aligned blocks, so the start of an
+    # unaligned propagator within a cache line changes from build to build
+    @pytest.mark.parametrize("family", [build_heat_family(n_y=30), build_wave_family(n_y=20)],
+                             ids=["heat", "wave"])
+    def test_propagator_starts_on_a_cache_line(self, family):
+        for mu in sample_random(family.domain, 8, seed=5):
+            inst = family.build(mu)
+            S, S_T = inst.step_propagator, inst.step_propagator_T
+            assert S.ctypes.data % 64 == 0
+            assert S.flags.f_contiguous and S.dtype == np.float64
+            assert S_T.flags.c_contiguous and np.shares_memory(S, S_T)
+            np.testing.assert_array_equal(S_T, S.T)
