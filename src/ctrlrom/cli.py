@@ -53,13 +53,13 @@ def _resolve_config(args):
 def _report(report):
     """Print the run's summary; the exit code is 1 on an invariant violation."""
     print(f"reduced basis size: {report.basis_size}")
-    for step in report.greedy_history:
+    for size, step in enumerate(report.greedy_history):
         true_part = (
             f"  true@selected {step.true_error_at_selected:.3e}"
             if step.true_error_at_selected is not None
             else ""
         )
-        print(f"  greedy size {step.basis_size:3d}: est max {step.estimated_max_error:.3e}{true_part}")
+        print(f"  greedy size {size:3d}: est max {step.estimated_max_error:.3e}{true_part}")
     if len(report.parameters):
         exact_t = report.runtimes["exact"].mean()
         print(f"exact avg runtime: {exact_t:.4f}s over {len(report.parameters)} tests")
@@ -98,7 +98,7 @@ def _cmd_full_run(cfg, args):
 def _cmd_svd_diag(cfg, args):
     spectra = experiment.run_svd_diagnostic(cfg, damping_list=args.damping)
     for key, sigma in spectra.items():
-        label = "heat" if key is None else f"nu={key:g}"
+        label = experiment.damping_label(key)
         k = min(len(sigma), 8)
         print(f"{label}: {len(sigma)} singular values, sigma_1={sigma[0]:.3e}, "
               f"sigma_{k}/sigma_1={sigma[k - 1] / sigma[0]:.3e}")

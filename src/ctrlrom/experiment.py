@@ -330,8 +330,8 @@ def offline_stage(config):
     greedy_rom.save_training_data(training_data, outdir / TRAINING_FILE)
     _write_csv(outdir / "greedy_results.csv",
                ["iteration", "basis_size", "estimated_max_error", "true_error_at_selected"],
-               ([i, step.basis_size, step.estimated_max_error, step.true_error_at_selected]
-                for i, step in enumerate(basis.history)))
+               ([i, i, step.estimated_max_error, step.true_error_at_selected]
+                for i, step in enumerate(basis.history)))  # row i has basis size i
     return basis
 
 
@@ -432,8 +432,9 @@ def run_experiment(config):
 def damping_configs(config, damping_list=None):
     """The validated configs of a damping sweep, keyed by damping constant:
     for the wave family one per value in ``damping_list`` (default: its own
-    ``nu``; a value named twice is rejected), for the heat family, which
-    takes no damping list, itself under None."""
+    ``nu``; a value named twice, or two sharing a ``damping_label``, is
+    rejected), for the heat family, which takes no damping list, itself
+    under None."""
     if config.family != "wave":
         if damping_list:
             raise ValueError(f"a damping sweep needs the wave family's damping constant, "
@@ -442,7 +443,14 @@ def damping_configs(config, damping_list=None):
     nus = [float(nu) for nu in damping_list] if damping_list else [config.nu]
     if len(set(nus)) < len(nus):
         raise ValueError(f"the damping list names a value twice: {nus!r}")
+    if len(set(labels := [damping_label(nu) for nu in nus])) < len(nus):
+        raise ValueError(f"two damping values share a label: {nus!r} read {labels!r}")
     return {nu: replace(config, nu=nu).validate() for nu in nus}
+
+
+def damping_label(key):
+    """The label of a ``damping_configs`` key in the svd-diag CSV and report."""
+    return "heat" if key is None else f"nu={key:g}"
 
 
 def run_svd_diagnostic(config, damping_list=None):
@@ -455,9 +463,8 @@ def run_svd_diagnostic(config, damping_list=None):
     """
     configs = damping_configs(config, damping_list)
     spectra = {key: _training_set_singular_values(cfg) for key, cfg in configs.items()}
-    labels = ["heat" if key is None else f"nu={key:g}" for key in spectra]
     _write_csv(_output_dir(config) / SINGULAR_VALUES_FILE,
-               ["mode", *(f"sigma[{label}]" for label in labels)],
+               ["mode", *(f"sigma[{damping_label(key)}]" for key in spectra)],
                ([i + 1, *(s[i] if i < len(s) else None for s in spectra.values())]
                 for i in range(max(map(len, spectra.values())))))
     return spectra

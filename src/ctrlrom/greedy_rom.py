@@ -37,7 +37,13 @@ from .numerics import InnerProduct, gram_schmidt_extend
 log = logging.getLogger(__name__)
 
 
-def _require_finite(**arrays):
+def _require_paired_rows(**arrays):
+    """Both records' rule: the two named arrays are finite and 2-d, row i of
+    one paired with row i of the other; a ``ValueError`` names them."""
+    (name_a, a), (name_b, b) = arrays.items()
+    if a.ndim != 2 or b.ndim != 2 or len(a) != len(b):
+        raise ValueError(f"{name_a} of shape {a.shape} and {name_b} of shape {b.shape} do "
+                         f"not pair up")
     for name, array in arrays.items():
         if not np.all(np.isfinite(array)):
             raise ValueError(f"{name} holds a NaN or an infinity")
@@ -45,10 +51,9 @@ def _require_finite(**arrays):
 
 @dataclass
 class GreedyStep:
-    """One row of the greedy history; the parameter a selection row selected
-    is the row ``basis_size`` of ``ReducedBasis.selected_params``."""
+    """One row of the greedy history: row i has basis size i, and a
+    selection row i selected row i of ``ReducedBasis.selected_params``."""
 
-    basis_size: int
     estimated_max_error: float
     true_error_at_selected: float | None = None
 
@@ -68,11 +73,7 @@ class ReducedBasis:
     history: list = field(default_factory=list)
 
     def __post_init__(self):
-        V, mu = self.vectors, self.selected_params
-        if V.ndim != 2 or mu.ndim != 2 or len(V) != len(mu):
-            raise ValueError(f"vectors of shape {V.shape} and selected parameters of shape "
-                             f"{mu.shape} do not pair up")
-        _require_finite(vectors=V, selected_params=mu)
+        _require_paired_rows(vectors=self.vectors, selected_params=self.selected_params)
 
     @property
     def size(self):
@@ -100,11 +101,7 @@ class TrainingData:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        mu, alpha = self.parameters, self.coefficients
-        if mu.ndim != 2 or alpha.ndim != 2 or len(mu) != len(alpha):
-            raise ValueError(f"parameters of shape {mu.shape} and coefficients of shape "
-                             f"{alpha.shape} do not pair up")
-        _require_finite(parameters=mu, coefficients=alpha)
+        _require_paired_rows(parameters=self.parameters, coefficients=self.coefficients)
 
 
 @dataclass
@@ -169,7 +166,7 @@ def greedy_offline(
     cg_max_iter=None,
     drop_tol=1e-10,
 ):
-    """Offline weak-greedy loop over a finite training set.
+    """Offline weak-greedy loop over a finite training set (a sequence or a (P, p) array).
 
     Starts from the empty basis (approximate adjoint zero everywhere) and
     repeats: pick the training parameter with the largest residual estimate,
@@ -198,7 +195,7 @@ def greedy_offline(
     reduced basis and the ``TrainingData`` of the training set with its
     final coefficients.  Ties in the argmax resolve to the smallest training index.
     """
-    if not train_set:
+    if len(train_set) == 0:
         raise ValueError("training set must not be empty")
     if not tol > 0:
         raise ValueError("greedy tolerance must be positive")
@@ -235,14 +232,14 @@ def greedy_offline(
         candidates = np.where(selectable)[0]
         if candidates.size == 0:
             log.warning("greedy ran out of selectable training parameters")
-            basis.history.append(GreedyStep(basis.size, float(np.max(eta))))
+            basis.history.append(GreedyStep(float(np.max(eta))))
             break
         j = candidates[int(np.argmax(eta[candidates]))]
         if eta[j] <= tol:
-            basis.history.append(GreedyStep(basis.size, float(eta[j])))
+            basis.history.append(GreedyStep(float(eta[j])))
             break
         if basis.size >= max_basis:
-            basis.history.append(GreedyStep(basis.size, float(eta[j])))
+            basis.history.append(GreedyStep(float(eta[j])))
             raise GreedyBudgetError(
                 f"estimated error {eta[j]:.3e} still above tol {tol:.3e} "
                 f"at max_basis = {max_basis}",
@@ -264,7 +261,7 @@ def greedy_offline(
             )
             selectable[j] = False
             continue
-        basis.history.append(GreedyStep(basis.size, float(eta[j]), true_err))
+        basis.history.append(GreedyStep(float(eta[j]), true_err))
         basis.vectors = np.vstack([basis.vectors, new_vec])
         basis.selected_params = np.vstack([basis.selected_params, train_set[j]])
 
@@ -285,8 +282,6 @@ def rom_online(inst, basis, certify=True):
     projection residual as its certificate (no extra evolution solves).
     A query costs 4 sweeps, two of them over the N basis columns at once.
     """
-    if basis.size == 0:
-        raise ValueError("reduced basis is empty")
     coeffs, eta = project_coefficients(inst, basis)
     phi = basis.matrix() @ coeffs
     control = dynamics.solve_adjoint_backward(inst, phi)
@@ -335,9 +330,9 @@ def load_basis(path):
                 raise ValueError(f"estimates of shape {estimates.shape} and true errors of shape "
                                  f"{true_errors.shape} do not pair up with {basis.size} "
                                  f"selected parameters")
-            basis.history = [GreedyStep(i, float(estimate), float(true_error))
-                             for i, (estimate, true_error) in enumerate(zip(estimates, true_errors))]
-            basis.history.append(GreedyStep(basis.size, float(estimates[-1])))
+            basis.history = [GreedyStep(float(estimate), float(true_error))
+                             for estimate, true_error in zip(estimates, true_errors)]
+            basis.history.append(GreedyStep(float(estimates[-1])))
         return basis
     except KeyError as exc:
         raise ValueError(f"{path}: basis record lacks {exc}") from None

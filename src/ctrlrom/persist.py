@@ -49,9 +49,10 @@ def read(path, *kinds):
 
     Returns ``(kind, meta, arrays)`` with arrays as a name -> float64 array
     dict in header order.  Raises ``ValueError`` naming the file when it is
-    not such a file, holds another kind, its payload is not exactly the
-    arrays its header lists, or a meta number or an array entry is a NaN or
-    an infinity (naming the value or the array).
+    not such a file, holds another kind, lists an array shape that is not a
+    list of non-negative integers, its payload is not exactly the arrays
+    its header lists, or a meta number or an array entry is a NaN or an
+    infinity (naming the value or the array).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -64,14 +65,15 @@ def read(path, *kinds):
     try:
         header = json.loads(data[start : start + size].decode("utf-8"))
         kind, meta, listed = header["kind"], header["meta"], header["arrays"]
-        shapes = [(str(name), tuple(int(d) for d in shape)) for name, shape in listed]
+        shapes = [(str(name), shape) for name, shape in listed]
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers decoding errors
         raise ValueError(f"{path}: malformed header ({exc})") from None
     if kind not in kinds:
         raise ValueError(f"{path}: holds a {kind!r} record, expected {' or '.join(kinds)}")
     names = {name for name, _ in shapes}
-    if not isinstance(meta, dict) or len(names) < len(shapes) or any(
-        d < 0 for _, shape in shapes for d in shape
+    if not isinstance(meta, dict) or len(names) < len(shapes) or not all(
+        isinstance(shape, list) and all(is_real(d) and isinstance(d, int) and d >= 0 for d in shape)
+        for _, shape in shapes
     ):
         raise ValueError(f"{path}: malformed header")
     for name, value in meta.items():

@@ -24,13 +24,13 @@ class CoefficientRegressor:
     ``"inputs"`` (the parameter dimension) and ``"rows"`` (the model's own
     row count, such as its centers).  ``fit`` checks the pair count, calls
     ``_fit`` and records ``n_outputs``; ``save`` writes the fitted
-    attributes, and ``load`` (``surrogates.load_model`` for any kind) reads
-    them back through ``_from_record``, which checks the header values'
-    types and the arrays' shapes (``persist.read`` has checked that every
-    number is finite) and sets them on a model built with default
-    arguments.  Prediction is deterministic after fitting and returns an
-    array whose length matches the basis size the model was trained
-    against.
+    attributes, and ``surrogates.load_model``, the one reader of a model
+    file of any kind, reads them back through ``_from_record``, which checks
+    the header values' types and the arrays' shapes (``persist.read`` has
+    checked that every number is finite) and sets them on a model built
+    with default arguments.  Prediction is deterministic after fitting and
+    returns an array whose length matches the basis size the model was
+    trained against.
     """
 
     kind = "abstract"
@@ -82,12 +82,6 @@ class CoefficientRegressor:
             raise RuntimeError(f"{self.kind} model saved before fitting")
         meta = {name: getattr(self, name) for name in ("n_outputs", *self.hyper_parameters)}
         persist.write(path, self.kind, meta, self._arrays())
-
-    @classmethod
-    def load(cls, path):
-        """Read a model written by ``save`` of the same kind."""
-        _, meta, arrays = persist.read(path, cls.kind)
-        return cls._from_record(path, meta, arrays)
 
     @classmethod
     def _from_record(cls, path, meta, arrays):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ctrlrom
 from ctrlrom import experiment, persist
 from ctrlrom.cli import FLAGS, _report, _resolve_config, build_parser, main
 from ctrlrom.errors import ConvergenceError, GreedyBudgetError
@@ -21,6 +22,10 @@ from ctrlrom.experiment import (
     run_svd_diagnostic,
     save_config,
 )
+from ctrlrom.system import build_heat_family
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def tiny_heat_config(outdir, **overrides):
@@ -111,9 +116,8 @@ class TestConfigFile:
         assert cfg.surrogate_kinds == ("gpr", "kernel")
 
     def test_readme_sample_is_the_heat_default(self, tmp_path):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         path = tmp_path / "readme.ini"
-        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+        path.write_text(re.search(r"```ini\n(.*?)```", README, re.S).group(1), encoding="utf-8")
         assert load_config(path) == default_config("heat")
 
     @pytest.mark.parametrize("setting", [
@@ -461,6 +465,10 @@ class TestSvdDiagnostic:
             run_svd_diagnostic(cfg, damping_list=[0.0, 10.0, -1.0])
         with pytest.raises(ValueError, match=r"names a value twice: \[5\.0, 0\.0, 5\.0\]"):
             run_svd_diagnostic(cfg, damping_list=[5, 0.0, 5.0])
+        # two values that the CSV header would both name sigma[nu=10]
+        with pytest.raises(ValueError, match=r"share a label: \[10\.0, 10\.0000001\] read "
+                                             r"\['nu=10', 'nu=10'\]"):
+            run_svd_diagnostic(cfg, damping_list=[10, 10.0000001])
         heat = tiny_heat_config(tmp_path / "svd")
         with pytest.raises(ValueError, match="family heat has none"):
             run_svd_diagnostic(heat, damping_list=[0.0, 10.0])
@@ -664,3 +672,25 @@ class TestCli:
         assert "names a value twice" in capsys.readouterr().err
         assert solves == []
         assert not outdir.exists()
+
+
+def test_readme_library_sketch_runs_as_documented(monkeypatch):
+    # the README's sketch on a small heat family, checked against the claims
+    # the README makes next to it
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", README, re.S).group(1)
+    monkeypatch.setattr(ctrlrom, "build_heat_family", lambda: build_heat_family(n_y=12))
+    scope = {}
+    exec(sketch, scope)
+    inst, basis, fast, rom, exact = (scope[name]
+                                     for name in ("inst", "basis", "fast", "rom", "exact"))
+    nodes = inst.grid.nodes()
+    assert len(nodes) == inst.grid.n_t + 1 and nodes[0] == 0.0 and nodes[-1] == inst.grid.T
+    for sol in (fast, rom, exact):
+        assert sol.control.shape == (len(nodes), inst.m)
+    assert basis.size >= 2 and basis.vectors.shape == (basis.size, inst.n)
+    assert (basis.matrix() @ rom.coeffs).tobytes() == rom.phiT_approx.tobytes()
+    # the reference is itself a CG answer, at most its verified residual
+    # from the optimum
+    for sol in (fast, rom):
+        true_err = inst.ip.norm(exact.phiT - sol.phiT_approx)
+        assert true_err <= sol.estimated_error + exact.residual_norm

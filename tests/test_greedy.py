@@ -9,7 +9,7 @@ import pytest
 
 from ctrlrom import dynamics, exact_solver, greedy_rom
 from ctrlrom.dynamics import apply_system_operator, operator_key, rhs_vector
-from ctrlrom.errors import GreedyBudgetError
+from ctrlrom.errors import GramMatrixError, GreedyBudgetError
 from ctrlrom.exact_solver import error_estimator, solve_exact
 from ctrlrom.greedy_rom import (
     ReducedBasis,
@@ -153,8 +153,31 @@ class TestProjectCoefficients:
         fam = small_heat_family()
         basis = ReducedBasis(vectors=np.zeros((0, 8)), selected_params=np.zeros((0, 2)),
                              ip=InnerProduct(1.0), tolerance_used=0.0)
-        with pytest.raises(ValueError):
-            project_coefficients(fam.build([1.0, 1.0]), basis)
+        for evaluate in (project_coefficients, rom_online):
+            with pytest.raises(ValueError, match="empty"):
+                evaluate(fam.build([1.0, 1.0]), basis)
+
+    def test_equal_images_take_the_jittered_factorization(self, monkeypatch, rng):
+        # two equal columns of ones: the Gram matrix [[4, 4], [4, 4]] has an
+        # exactly zero Cholesky pivot, so only the jittered matrix factors
+        factored, cho_factor = [], greedy_rom.cho_factor
+
+        def counted(a, *args, **kwargs):
+            factored.append(a)
+            return cho_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(greedy_rom, "cho_factor", counted)
+        ip = InnerProduct(1.0)
+        images, rhs = np.ones((4, 2)), rng.standard_normal(4)
+        coeffs, residual = _project(images, rhs, ip)
+        assert len(factored) == 2
+        assert residual == ip.norm(rhs - images @ coeffs)
+        assert residual == pytest.approx(np.linalg.norm(rhs - rhs.mean()), rel=1e-12)
+
+    def test_zero_images_raise_gram_matrix_error(self):
+        with pytest.raises(GramMatrixError, match="singular at basis size 2") as err:
+            _project(np.zeros((4, 2)), np.ones(4), InnerProduct(1.0))
+        assert err.value.basis_size == 2
 
 
 class TestGreedyOffline:
@@ -180,6 +203,20 @@ class TestGreedyOffline:
         for mu in basis.selected_params:
             sol = rom_online(fam.build(mu), basis, certify=True)
             assert sol.estimated_error <= 1e-8
+
+    def test_array_training_set_equals_list_bitwise(self):
+        # the grid as a (P, p) array, and the training data's own parameters
+        fam, train = small_train_set((3, 3))
+        basis, data = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-13)
+        assert basis.size >= 2
+        for array in (np.array(train), data.parameters):
+            basis_a, data_a = greedy_offline(fam, array, tol=1e-5, cg_tol=1e-13)
+            for got, expected in ((basis_a.vectors, basis.vectors),
+                                  (basis_a.selected_params, basis.selected_params),
+                                  (data_a.parameters, data.parameters),
+                                  (data_a.coefficients, data.coefficients)):
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert basis_a.history == basis.history
 
     def test_determinism(self):
         fam, train = small_train_set()
@@ -428,7 +465,7 @@ class TestPersistence:
             save_basis(basis, tmp_path / "basis.crb")
             loaded = load_basis(tmp_path / "basis.crb")
             assert loaded.history == basis.history
-            assert [s.basis_size for s in loaded.history] == list(range(basis.size + 1))
+            assert len(loaded.history) == basis.size + 1  # row i has basis size i
             assert loaded.history[-1].true_error_at_selected is None
 
     def test_training_data_round_trip(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -128,7 +129,23 @@ class TestContainer:
         with pytest.raises(ValueError, match="'basis' record"):
             load_model(saved_files["basis"])
         with pytest.raises(ValueError, match="'gpr' record, expected kernel"):
-            KernelRegressor.load(saved_files["gpr"])
+            persist.read(saved_files["gpr"], "kernel")
+
+    @pytest.mark.parametrize("shape", [["2", 3], "23", [2.0, 3], [True, 3]],
+                             ids=["str-entry", "str", "float-entry", "bool-entry"])
+    def test_shape_must_be_a_list_of_integers(self, tmp_path, shape):
+        # a payload of 6 numbers, as a (2, 3) array would have it
+        path = tmp_path / "x.bin"
+        persist.write(path, "thing", {}, {"a": np.ones((2, 3))})
+        data, start = path.read_bytes(), len(persist.MAGIC) + persist._LENGTH.size
+        (size,) = persist._LENGTH.unpack_from(data, len(persist.MAGIC))
+        header = json.loads(data[start:start + size])
+        header["arrays"] = [["a", shape]]
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(persist.MAGIC + persist._LENGTH.pack(len(blob)) + blob
+                         + data[start + size:])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed header"):
+            persist.read(path, "thing")
 
     def test_rows_must_pair_up(self, tmp_path):
         basis_meta = {"family": "heat", "tolerance": 1e-4, "ip_weight": 0.1}

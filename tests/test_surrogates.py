@@ -726,12 +726,12 @@ def test_fit_rejects_fewer_pairs_than_its_minimum(kind):
 @pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))
 def test_kind_keeps_the_shared_contract(kind):
     # a kind fits through ``_fit`` and inherits the checks of ``fit``, ``save``
-    # and ``load``, so no kind can skip the pair count or the file checks
+    # and ``_from_record``, so no kind can skip the pair count or the file checks
     cls = REGRESSOR_CLASSES[kind]
     assert "_fit" in vars(cls)
     own = {name for klass in cls.__mro__[:cls.__mro__.index(CoefficientRegressor)]
            for name in vars(klass)}
-    assert not own & {"fit", "save", "load", "_from_record"}
+    assert not own & {"fit", "save", "_from_record"}
 
 
 @pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))
