@@ -11,21 +11,18 @@ Each sweep takes a vector (n,) or a block (n, k) and returns only what its
 callers use: the backward sweep the induced control, the forward sweep the
 final state.  A control is the array of its values at the nodes
 ``inst.grid.nodes()``, of shape (n_t + 1, m), or (n_t + 1, m, k) for a
-block.  Both sweeps step through the grid in chunks of ``_CHUNK`` steps and
-keep no trajectory, so they work in O(_CHUNK * n * k + n_t * m * k) floats.
-A step multiplies the k vectors one by one inside one numpy call, which
-keeps each block column bit-identical to the single-vector result: the
-certificates cancel O(1) terms down to tiny residuals and would otherwise
-change with the grouping of the vectors.  A single vector steps as a plain
-1-d array through ``ndarray.dot``, the same BLAS product without the
-overhead of a stacked ``np.matmul``, and the steps of a chunk run from
-``map`` rather than a Python loop, so a step of a conjugate-gradient sweep
-costs little more than its BLAS call.  That call reads the whole propagator,
-which ``ProblemInstance`` keeps on a 64-byte cache line.  With the heap's
-16-byte placement the same products ran up to a third slower, with the same
-bits: a 9-column heat block apply at n = 100 took ~100 ms at 16 or 48 bytes
-past a line against ~80 ms at 0 or 32, a 10-column wave one at n = 80
-~10.4-11.2 ms at 16, 32 or 48 against ~8.4 ms at 0.
+block.  Both sweeps step through one kernel, ``_march``: the forward sweep
+through the one-step propagator S with each chunk's input terms, the
+backward sweep through S^T in reversed time, ``_CHUNK`` steps at a time in
+one buffer, so a sweep keeps no trajectory and works in
+O(_CHUNK * n * k + n_t * m * k) floats.  A step multiplies the k vectors
+one by one inside one numpy call, a single vector through ``ndarray.dot``
+and a block through a stacked ``np.matmul``, so each block column is
+bit-identical to the single-vector result: the certificates cancel O(1)
+terms down to tiny residuals and would otherwise change with the grouping
+of the vectors.  The steps of a chunk run from ``map``, so a step costs
+little more than its BLAS call, which reads the whole propagator; see
+``system._cache_line_matrix`` for why that starts on a cache line.
 """
 
 import hashlib
@@ -51,11 +48,6 @@ def _steps(a):
     return a[..., 0, :, 0] if a.shape[-3] == 1 else a
 
 
-def _product(M, k):
-    """The call (x, out) -> M x into out on the step operands of k vectors."""
-    return M.dot if k == 1 else partial(np.matmul, M)
-
-
 def _controls(inst, phi):
     """u = -R^{-1} B* phi for adjoints phi of shape (L, k, n, 1); returns (L, m, k)."""
     L, k = phi.shape[:2]
@@ -63,29 +55,44 @@ def _controls(inst, phi):
     return u.reshape(inst.m, L, k).transpose(1, 0, 2)
 
 
+def _march(S, rows, n_t, inputs=None):
+    """Yield (lo, nodes) for each chunk of the n_t steps x_{j+1} = S x_j + g_j
+    from the k vectors ``rows`` (k, n): nodes (L + 1, k, n, 1) holds x_lo, ...,
+    x_{lo+L} in the one buffer every chunk reuses, and ``inputs(lo, L)``, if
+    given, returns g_lo, ..., g_{lo+L-1} shaped (L, k, n, 1)."""
+    k, n = rows.shape
+    step = S.dot if k == 1 else partial(np.matmul, S)
+    buf = np.empty((min(_CHUNK, n_t) + 1, k, n, 1))
+    buf[0, :, :, 0] = rows
+    nodes = list(_steps(buf))
+    for lo in range(0, n_t, _CHUNK):
+        L = min(lo + _CHUNK, n_t) - lo
+        # nodes[j + 1] = S nodes[j] for j < L; deque makes map's calls
+        steps = map(step, nodes[:L], nodes[1 : L + 1])
+        if inputs is not None:
+            # zip alternates the calls: each product, then its input term
+            g = _steps(inputs(lo, L))
+            steps = zip(steps, map(np.add, nodes[1 : L + 1], g, nodes[1 : L + 1]))
+        deque(steps, maxlen=0)
+        yield lo, buf[: L + 1]
+        buf[0] = buf[L]
+
+
 def solve_adjoint_backward(inst, pT):
     """Control u = -R^{-1} B* phi induced by the adjoint with phi(T) = pT.
 
     Solves -phi' = A* phi backward with the Crank-Nicolson step
-    (I - dt/2 A*) phi_k = (I + dt/2 A*) phi_{k+1}, realized through the
-    transposed one-step propagator, and returns the control at every node,
-    of shape (n_t + 1, m) for a vector pT and (n_t + 1, m, k) for a block pT
-    of shape (n, k).  Adjoint values are kept for one chunk of steps only.
+    (I - dt/2 A*) phi_k = (I + dt/2 A*) phi_{k+1}, marching through reversed
+    time with the transposed one-step propagator, and returns the control at
+    every node, of shape (n_t + 1, m) for a vector pT and (n_t + 1, m, k)
+    for a block pT of shape (n, k).
     """
     rows = _rows(inst, pT, "terminal adjoint")
-    k = rows.shape[0]
     n_t = inst.grid.n_t
-    step = _product(inst.step_propagator_T, k)
-    u = np.empty((n_t + 1, inst.m, k))
-    phi = np.empty((min(_CHUNK, n_t) + 1, k, inst.n, 1))
-    phi[0, :, :, 0] = rows
-    nodes = list(_steps(phi))
-    for hi in range(n_t, 0, -_CHUNK):
-        L = hi - max(hi - _CHUNK, 0)
-        phi[L] = phi[0]  # phi[i] holds the k adjoints at node hi - L + i
-        # phi[i] = S^T phi[i + 1] for i = L - 1, ..., 0; deque makes map's calls
-        deque(map(step, nodes[L:0:-1], nodes[L - 1 :: -1]), maxlen=0)
-        u[hi - L : hi + 1] = _controls(inst, phi[: L + 1])
+    u = np.empty((n_t + 1, inst.m, rows.shape[0]))
+    for lo, phi in _march(inst.step_propagator.T, rows, n_t):
+        # phi[j] is the adjoint at node n_t - lo - j
+        u[n_t - lo - len(phi) + 1 : n_t - lo + 1] = _controls(inst, phi)[::-1]
     return u if np.ndim(pT) == 2 else u[:, :, 0]
 
 
@@ -101,29 +108,21 @@ def solve_state_forward(inst, x_init, u=None):
     rows = _rows(inst, x_init, "initial state")
     k = rows.shape[0]
     n_t = inst.grid.n_t
-    step = _product(inst.step_propagator, k)
+    inputs = None
     if u is not None:
         if u.shape != (n_t + 1, inst.m) + np.shape(x_init)[1:]:
             raise ValueError("control not aligned with the time grid and the state")
         controls = u.reshape(n_t + 1, inst.m, k)
-    xs = np.empty((min(_CHUNK, n_t) + 1, k, inst.n, 1))
-    xs[0, :, :, 0] = rows
-    nodes = list(_steps(xs))
-    for lo in range(0, n_t, _CHUNK):
-        L = min(lo + _CHUNK, n_t) - lo
-        # xs[j] holds the k states at node lo + j; xs[j + 1] = S xs[j] for j < L
-        steps = map(step, nodes[:L], nodes[1 : L + 1])
-        if u is not None:
-            # (I - dt/2 A)^{-1} B dt/2 (u_j + u_{j+1}) for the chunk's steps
+
+        def inputs(lo, L):  # (I - dt/2 A)^{-1} B dt/2 (u_j + u_{j+1}) for the chunk's steps
             s = controls[lo : lo + L] + controls[lo + 1 : lo + L + 1]
             g = s.transpose(0, 2, 1).reshape(-1, inst.m) @ inst.step_input_map.T
             g *= 0.5 * inst.grid.dt
-            g = _steps(g.reshape(L, k, inst.n, 1))
-            # zip alternates the calls: each product, then its input term
-            steps = zip(steps, map(np.add, nodes[1 : L + 1], g, nodes[1 : L + 1]))
-        deque(steps, maxlen=0)
-        xs[0] = xs[L]
-    x = xs[0].reshape(k, inst.n)
+            return g.reshape(L, k, inst.n, 1)
+
+    for _, xs in _march(inst.step_propagator, rows, n_t, inputs):
+        pass
+    x = xs[-1].reshape(k, inst.n)
     if not np.all(np.isfinite(x)):
         raise FloatingPointError("state propagation produced non-finite values")
     return x.T if np.ndim(x_init) == 2 else x[0]
@@ -152,9 +151,9 @@ def operator_key(inst):
 
     Hashes everything ``apply_system_operator`` reads from ``inst``:
     ``grid`` (step count and dt of both sweeps), ``ip.weight`` (inside
-    ``B_adj``), ``step_propagator`` (backward sweep through its transpose,
-    forward sweep), ``step_input_map`` (forward sweep), ``B_adj`` and ``R``
-    (``_controls``) and ``M`` (``apply_M``).  Equal keys give bit-identical
+    ``B_adj``), ``step_propagator`` (both sweeps), ``step_input_map``
+    (forward sweep), ``B_adj`` and ``R`` (``_controls``) and ``M``
+    (``apply_M``).  Equal keys give bit-identical
     images.  A 16-byte digest, not the raw bytes, so a key costs no memory.
     """
     h = hashlib.blake2b(digest_size=16)

@@ -359,8 +359,8 @@ def online_stage(config):
     invariants and write the error and timing CSVs; returns the
     ``RunReport``, which carries the basis file's greedy history.  An empty
     basis has no surrogate files and no test parameters; a basis of another
-    family or inner-product weight, or a model fitted to another basis size,
-    raises ``ValueError`` before the first solve."""
+    family or inner-product weight, or a model fitted to another basis size
+    or parameter length, raises ``ValueError`` before the first solve."""
     outdir = Path(config.output_dir)
     basis = greedy_rom.load_basis(outdir / BASIS_FILE)
     family = build_family(config)
@@ -374,6 +374,9 @@ def online_stage(config):
         if model.n_outputs != basis.size:
             raise ValueError(f"{kind} model predicts {model.n_outputs} coefficients but "
                              f"basis has size {basis.size}")
+        if model.n_inputs != family.domain.dim:
+            raise ValueError(f"{kind} model takes a parameter of length {model.n_inputs} but "
+                             f"{family.name} has parameters of length {family.domain.dim}")
     names = ["g-rom", *models]
     test_set = np.reshape(
         sample_random(family.domain, config.test_count if basis.size else 0,

@@ -164,7 +164,6 @@ def greedy_offline(
     max_basis=50,
     cg_tol=1e-12,
     cg_max_iter=None,
-    drop_tol=1e-10,
 ):
     """Offline weak-greedy loop over a finite training set (a sequence or a (P, p) array).
 
@@ -252,7 +251,7 @@ def greedy_offline(
         exact = solve_exact(family.build(train_set[j]), cg_tol=cg_tol, max_iter=cg_max_iter,
                             preconditioned=False)
         true_err = ip.norm(exact.phiT - basis.matrix() @ coeffs[j])
-        new_vec = gram_schmidt_extend(basis.vectors, exact.phiT, ip, drop_tol=drop_tol)
+        new_vec = gram_schmidt_extend(basis.vectors, exact.phiT, ip)
         if new_vec is None:
             log.warning(
                 "snapshot for parameter %s is linearly dependent on the basis; "
@@ -289,6 +288,17 @@ def rom_online(inst, basis, certify=True):
     return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
 
 
+def _basis_meta(meta):
+    """``meta`` if it keeps the basis file's rule, which ``save_basis`` and
+    ``load_basis`` apply: a string family, finite positive tolerance and weight."""
+    if not isinstance(meta["family"], str):
+        raise ValueError(f"family {meta['family']!r} is not a string")
+    for name in ("ip_weight", "tolerance"):
+        if not (persist.is_real(meta[name]) and 0 < meta[name] < np.inf):
+            raise ValueError(f"{name} {meta[name]!r} is not a finite positive real number")
+    return meta
+
+
 def save_basis(basis, path):
     """Write a reduced basis as a ``persist`` file of kind ``basis``: the
     vectors as the rows of an (N, n) array, the selected parameters as an
@@ -298,8 +308,8 @@ def save_basis(basis, path):
     the estimated maximum error of each row, and ``true_errors`` (N), the
     true error of each selection row, which pairs row for row with the
     selected parameters.  A row's basis size is its index."""
-    meta = {"family": basis.family_name, "tolerance": basis.tolerance_used,
-            "ip_weight": basis.ip.weight}
+    meta = _basis_meta({"family": basis.family_name, "tolerance": basis.tolerance_used,
+                        "ip_weight": basis.ip.weight})
     arrays = {"vectors": basis.vectors, "selected_params": basis.selected_params}
     if basis.history:
         arrays["estimates"] = [step.estimated_max_error for step in basis.history]
@@ -312,11 +322,7 @@ def load_basis(path):
     a file without the two history arrays loads with an empty history."""
     _, meta, arrays = persist.read(path, "basis")
     try:
-        if not isinstance(meta["family"], str):
-            raise ValueError(f"family {meta['family']!r} is not a string")
-        for name in ("ip_weight", "tolerance"):
-            if not (persist.is_real(meta[name]) and meta[name] > 0):
-                raise ValueError(f"{name} {meta[name]!r} is not a positive real number")
+        _basis_meta(meta)
         basis = ReducedBasis(
             vectors=arrays["vectors"],
             selected_params=arrays["selected_params"],

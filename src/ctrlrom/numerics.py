@@ -41,6 +41,7 @@ class InnerProduct:
 # relative seen on the damped wave, so an iterate verified just at ``tol``
 # could read above it there.  A margin, not a knob.
 _TOL_MARGIN = 1e-3
+DROP_TOL = 1e-10  # relative norm below which gram_schmidt_extend finds v dependent
 
 
 def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, precondition=None):
@@ -129,12 +130,12 @@ def cg_solve(apply, b, ip, tol=1e-12, max_iter=None, precondition=None):
             rs = rs_new
 
 
-def gram_schmidt_extend(basis, v, ip, drop_tol=1e-10):
+def gram_schmidt_extend(basis, v, ip):
     """Orthonormalize ``v`` against an already orthonormal ``basis``.
 
     Modified Gram-Schmidt with exactly one re-orthogonalization pass.
     Returns the new unit vector, or ``None`` when the post-projection norm
-    falls below ``drop_tol * ip.norm(v)``, signalling (near-)linear dependence.
+    falls below ``DROP_TOL * ip.norm(v)``, signalling (near-)linear dependence.
     """
     v = np.asarray(v, dtype=float)
     ref_norm = ip.norm(v)
@@ -145,7 +146,7 @@ def gram_schmidt_extend(basis, v, ip, drop_tol=1e-10):
         for phi in basis:
             w = w - ip.dot(phi, w) * phi
     norm_w = ip.norm(w)
-    if norm_w < drop_tol * ref_norm:
+    if norm_w < DROP_TOL * ref_norm:
         return None
     return w / norm_w
 

@@ -23,14 +23,14 @@ class CoefficientRegressor:
     each.  A shape's entries are sizes or the names ``"n_outputs"``,
     ``"inputs"`` (the parameter dimension) and ``"rows"`` (the model's own
     row count, such as its centers).  ``fit`` checks the pair count, calls
-    ``_fit`` and records ``n_outputs``; ``save`` writes the fitted
-    attributes, and ``surrogates.load_model``, the one reader of a model
-    file of any kind, reads them back through ``_from_record``, which checks
-    the header values' types and the arrays' shapes (``persist.read`` has
-    checked that every number is finite) and sets them on a model built
-    with default arguments.  Prediction is deterministic after fitting and
-    returns an array whose length matches the basis size the model was
-    trained against.
+    ``_fit`` and records ``n_inputs`` and ``n_outputs``; ``save`` writes the
+    fitted attributes, and ``surrogates.load_model``, the one reader of a
+    model file of any kind, reads them back through ``_from_record``, which
+    checks the header values' types and the arrays' shapes (``persist.read``
+    has checked that every number is finite) and sets them, ``n_inputs``
+    too, on a model built with default arguments.  Prediction is
+    deterministic after fitting and maps ``n_inputs`` parameter components
+    to ``n_outputs`` coefficients, as many as the model's basis has vectors.
     """
 
     kind = "abstract"
@@ -39,6 +39,7 @@ class CoefficientRegressor:
 
     def __init__(self, seed=0):
         self.seed = int(seed)
+        self.n_inputs = None
         self.n_outputs = None
 
     def fit(self, data):
@@ -48,7 +49,7 @@ class CoefficientRegressor:
             raise ValueError(f"{self.kind} fit: need at least {self.min_pairs} training "
                              f"pair{'s' * (self.min_pairs > 1)}, got {len(X)}")
         self._fit(X, Y)
-        self.n_outputs = Y.shape[1]
+        self.n_inputs, self.n_outputs = X.shape[1], Y.shape[1]
         return self
 
     def _fit(self, X, Y):
@@ -61,6 +62,9 @@ class CoefficientRegressor:
         if self.n_outputs is None:
             raise RuntimeError(f"{self.kind} model used before fitting")
         x = np.atleast_1d(np.asarray(mu, dtype=float))
+        if x.shape != (self.n_inputs,):
+            raise ValueError(f"{self.kind} model takes a parameter of length {self.n_inputs}, got "
+                             f"one of shape {x.shape}")
         out = np.asarray(self._predict_one(x), dtype=float).reshape(-1)
         if out.shape[0] != self.n_outputs:
             raise RuntimeError(
@@ -107,6 +111,7 @@ class CoefficientRegressor:
                 if len(found) != len(shape) or found != expected:
                     raise ValueError(f"{path}: {cls.kind} array {name} has shape {found}, not "
                                      f"{shape} with n_outputs = {model.n_outputs}")
+            model.n_inputs = sizes["inputs"]
             model._set_arrays(arrays)
         except KeyError as exc:
             raise ValueError(f"{path}: {cls.kind} record lacks {exc}") from None

@@ -100,9 +100,8 @@ class ProblemInstance:
     step matrices (factorized once, then turned into a dense one-step
     propagator), and the adjoint of B in the weighted state inner product.
     The propagator ``step_propagator`` is Fortran-ordered and starts on a
-    64-byte cache line, and ``step_propagator_T`` is its C-ordered transpose
-    view, so every sweep steps at the aligned BLAS speed whatever address
-    the heap hands out.
+    64-byte cache line, and so does ``step_propagator.T``, the C-ordered
+    transpose view the backward sweep steps with (see ``_cache_line_matrix``).
     Instances are immutable after construction and safe to share.
     """
 
@@ -151,7 +150,6 @@ class ProblemInstance:
         np.multiply(a, self.A, out=S)
         S += eye
         self.step_propagator = lu_solve(lu, S, overwrite_b=True)
-        self.step_propagator_T = self.step_propagator.T
         self.step_input_map = lu_solve(lu, self.B)
 
     def solve_R(self, rhs):

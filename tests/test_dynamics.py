@@ -251,6 +251,26 @@ class TestNonFiniteInput:
             solve_adjoint_backward(inst, np.array([np.nan]))
 
 
+def stepwise_controls(inst, pT):
+    """The backward sweep's controls, one transposed step per pass, from the last node down."""
+    phi = np.array(pT, dtype=float)
+    u = np.empty((inst.grid.n_t + 1, inst.m) + phi.shape[1:])
+    for j in range(inst.grid.n_t, -1, -1):
+        u[j] = -np.linalg.solve(inst.R, inst.B_adj @ phi)
+        phi = inst.step_propagator.T @ phi
+    return u
+
+
+def stepwise_final_state(inst, x, u=None):
+    """The forward sweep's x(T), one step and its averaged input term per pass."""
+    x = np.array(x, dtype=float)
+    for j in range(inst.grid.n_t):
+        x = inst.step_propagator @ x
+        if u is not None:
+            x = x + 0.5 * inst.grid.dt * (inst.step_input_map @ (u[j] + u[j + 1]))
+    return x
+
+
 def with_steps(inst, n_t):
     """The same instance on a grid of n_t steps over the same horizon."""
     return ProblemInstance(A=inst.A, B=inst.B, x0=inst.x0, xT=inst.xT, M=inst.M, R=inst.R,
@@ -276,6 +296,21 @@ _step_counts = st.one_of(
 
 def relative_gap(block_column, column):
     return np.linalg.norm(block_column - column) / np.linalg.norm(column)
+
+
+class TestChunkBoundaries:
+    # step counts of one step, one short of, equal to and one past a chunk,
+    # and one past two chunks
+    @pytest.mark.parametrize("n_t", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "block"])
+    def test_sweeps_match_a_stepwise_loop(self, n_t, shape, rng):
+        inst = with_steps(build_heat_family(n_y=6).build([1.5, 1.0]), n_t)
+        P = rng.standard_normal((inst.n, *shape))
+        u = rng.standard_normal((n_t + 1, inst.m, *shape))
+        assert relative_gap(solve_adjoint_backward(inst, P), stepwise_controls(inst, P)) <= 1e-13
+        assert relative_gap(solve_state_forward(inst, P), stepwise_final_state(inst, P)) <= 1e-13
+        assert relative_gap(solve_state_forward(inst, P, u),
+                            stepwise_final_state(inst, P, u)) <= 1e-13
 
 
 class TestBlockSweeps:
@@ -320,7 +355,7 @@ class TestBlockSweeps:
             moved = raw[start : start + S.nbytes].view(np.float64).reshape(S.shape, order="F")
             moved[...] = S
             assert moved.ctypes.data % 64 == offset and moved.flags.f_contiguous
-            inst.step_propagator, inst.step_propagator_T = moved, moved.T
+            inst.step_propagator = moved
             for moved_run, aligned_run in zip(sweeps(), (controls, states, free)):
                 np.testing.assert_array_equal(moved_run, aligned_run)
         for i in range(3):

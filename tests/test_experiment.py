@@ -22,6 +22,8 @@ from ctrlrom.experiment import (
     run_svd_diagnostic,
     save_config,
 )
+from ctrlrom.greedy_rom import TrainingData, load_basis
+from ctrlrom.surrogates import KernelRegressor
 from ctrlrom.system import build_heat_family
 
 
@@ -539,6 +541,24 @@ class TestCli:
         assert solves == []
         for name, content in reports.items():
             assert (outdir / name).read_bytes() == content, name
+
+    def test_online_rejects_model_of_another_parameter_length_before_any_solve(self, tmp_path,
+                                                                                monkeypatch):
+        outdir = tmp_path / "staged"
+        cfg_path = tmp_path / "cfg.ini"
+        save_config(tiny_heat_config(outdir, surrogate_kinds=("kernel",)), cfg_path)
+        assert main(["offline", "--config", str(cfg_path)]) == 0
+        # a wave model fitted to as many coefficients as the heat basis has
+        size = load_basis(outdir / "basis.crb").size
+        rng = np.random.default_rng(0)
+        wave_pairs = TrainingData(rng.uniform(3.0, 10.0, (9, 1)), rng.standard_normal((9, size)))
+        KernelRegressor().fit(wave_pairs).save(experiment.surrogate_path(outdir, "kernel"))
+        solves = []
+        monkeypatch.setattr(experiment, "solve_exact", lambda *a, **k: solves.append(a))
+        with pytest.raises(ValueError, match="^kernel model takes a parameter of length 1 but "
+                                             "heat has parameters of length 2$"):
+            main(["online", "--config", str(cfg_path)])
+        assert solves == []
 
     # wave at n_y=6 shares the state dimension 12 of the heat basis
     @pytest.mark.parametrize("flags, message", [

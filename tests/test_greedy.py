@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ctrlrom import dynamics, exact_solver, greedy_rom
+from ctrlrom import dynamics, exact_solver, greedy_rom, numerics
 from ctrlrom.dynamics import apply_system_operator, operator_key, rhs_vector
 from ctrlrom.errors import GramMatrixError, GreedyBudgetError
 from ctrlrom.exact_solver import error_estimator, solve_exact
@@ -248,10 +248,11 @@ class TestGreedyOffline:
         for step in basis.history[:-1]:
             assert step.true_error_at_selected <= step.estimated_max_error * (1 + 1e-6)
 
-    def test_rejected_snapshots_are_skipped_with_warning(self, caplog):
+    def test_rejected_snapshots_are_skipped_with_warning(self, caplog, monkeypatch):
         fam, train = small_train_set((2, 2))
+        monkeypatch.setattr(numerics, "DROP_TOL", 10.0)  # every snapshot counts as dependent
         with caplog.at_level(logging.WARNING, logger="ctrlrom.greedy_rom"):
-            basis, _ = greedy_offline(fam, train, tol=1e-10, cg_tol=1e-13, drop_tol=10.0)
+            basis, _ = greedy_offline(fam, train, tol=1e-10, cg_tol=1e-13)
         assert basis.size == 0
         assert "linearly dependent" in caplog.text
 
@@ -437,6 +438,21 @@ def test_record_rejects_non_finite_array(record, name, bad):
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("meta, message", [
+        (dict(tolerance_used=0.0), "tolerance 0.0"),
+        (dict(tolerance_used=float("nan")), "tolerance nan"),
+        (dict(ip=InnerProduct(float("inf"))), "ip_weight inf"),
+    ], ids=["zero-tolerance", "nan-tolerance", "infinite-weight"])
+    def test_save_rejects_meta_that_load_rejects(self, tmp_path, meta, message):
+        valid = dict(vectors=np.eye(2, 8), selected_params=np.ones((2, 2)),
+                     ip=InnerProduct(0.1), tolerance_used=1e-4, family_name="heat")
+        save_basis(ReducedBasis(**valid), tmp_path / "valid.crb")
+        assert load_basis(tmp_path / "valid.crb").tolerance_used == 1e-4
+        path = tmp_path / "basis.crb"
+        with pytest.raises(ValueError, match=f"^{message} is not a finite positive real number$"):
+            save_basis(ReducedBasis(**{**valid, **meta}), path)
+        assert not path.exists()
+
     def test_basis_round_trip(self, tmp_path):
         # tol = 1e9 stops the greedy at once: an empty basis of the n = 8
         # states and p = 2 parameter components

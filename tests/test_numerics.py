@@ -232,7 +232,7 @@ class TestGramSchmidt:
     def test_rejects_dependent_vector(self):
         ip = InnerProduct(weight=1.0)
         basis = [np.array([1.0, 0.0])]
-        assert gram_schmidt_extend(basis, np.array([1.0, 1e-14]), ip, drop_tol=1e-10) is None
+        assert gram_schmidt_extend(basis, np.array([1.0, 1e-14]), ip) is None
 
     def test_orthonormality_property(self, rng):
         # repeated extension keeps all pairwise products within 1e-10 of delta_ij

@@ -24,3 +24,30 @@ def test_no_assert_and_no_print_outside_cli(path):
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "print"]
     assert found == []
+
+
+def _functions_reading(tree, name):
+    """The innermost functions (``None`` at module level) that read ``name``
+    as a variable or an attribute."""
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return readers
+
+
+def test_one_function_steps_through_time():
+    # the chunk size is read where the chunk loop is: a second reader would
+    # be a second copy of the stepping loop
+    readers = [f"{path.relative_to(PACKAGE)}:{owner}" for path in SOURCES
+               for owner in _functions_reading(ast.parse(path.read_text(encoding="utf-8")),
+                                               "_CHUNK")]
+    assert len(readers) == 1, readers

@@ -163,7 +163,7 @@ class LookupModel(CoefficientRegressor):
     def __init__(self, data, perturbation=None):
         super().__init__(seed=0)
         self.table = list(zip(data.parameters, data.coefficients))
-        self.n_outputs = data.coefficients.shape[1]
+        self.n_inputs, self.n_outputs = data.parameters.shape[1], data.coefficients.shape[1]
         self.perturbation = perturbation
 
     def fit(self, data):
@@ -721,6 +721,21 @@ def test_fit_rejects_fewer_pairs_than_its_minimum(kind):
     data = TrainingData(np.zeros((cls.min_pairs - 1, 2)), np.zeros((cls.min_pairs - 1, 3)))
     with pytest.raises(ValueError, match=f"need at least {cls.min_pairs} training pair"):
         cls().fit(data)
+
+
+@pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))
+def test_predict_rejects_a_parameter_of_another_length(tmp_path, kind):
+    # fitted on one-component parameters, as a wave model is: the kernel and
+    # gpr distances would broadcast a two-component parameter against them
+    settings = {"gpr": dict(restarts=1), "mlp": dict(restarts=1, max_steps=50)}.get(kind, {})
+    model = make_regressor(kind, **settings).fit(make_training_data(n=9, p=1, seed=3))
+    path = tmp_path / f"{kind}.bin"
+    model.save(path)
+    for fitted in (model, load_model(path)):
+        with pytest.raises(ValueError, match=re.escape(f"{kind} model takes a parameter of "
+                                                       f"length 1, got one of shape (2,)")):
+            fitted.predict([1.5, 1.0])
+        assert fitted.n_inputs == 1 and fitted.predict([0.5]).shape == (3,)
 
 
 @pytest.mark.parametrize("kind", sorted(REGRESSOR_CLASSES))

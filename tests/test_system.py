@@ -181,7 +181,7 @@ class TestPropagatorLayout:
     def test_propagator_starts_on_a_cache_line(self, family):
         for mu in sample_random(family.domain, 8, seed=5):
             inst = family.build(mu)
-            S, S_T = inst.step_propagator, inst.step_propagator_T
+            S, S_T = inst.step_propagator, inst.step_propagator.T
             assert S.ctypes.data % 64 == 0
             assert S.flags.f_contiguous and S.dtype == np.float64
             assert S_T.flags.c_contiguous and np.shares_memory(S, S_T)
