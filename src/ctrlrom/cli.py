@@ -9,42 +9,34 @@ Subcommands are the pipeline stages:
                       reading what the one before it wrote
     svd-diag          singular values of the exact adjoints (damping sweep)
 
-Every field of ``ExperimentConfig`` is a flag, ``--key-with-dashes`` unless
-``_SPELLINGS`` names another spelling.  Flags override the config file,
-which overrides the per-family defaults.  The exit code is zero only if all
-invariant checks of the run pass.
+Every field of ``ExperimentConfig`` is a flag, ``experiment.FLAGS[name]``.
+Flags override the config file (``--config``), which overrides the defaults
+of the family the flags name, else of the one the file names, else heat's;
+``experiment.load_config`` resolves them, and a value it rejects is named
+by its flag or by its file, section and key.  The exit code is zero only if
+all invariant checks of the run pass.
 """
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from . import experiment
-
-_SPELLINGS = {"T": "--final-time", "surrogate_kinds": "--surrogates"}
-FLAGS = {f.name: _SPELLINGS.get(f.name, "--" + f.name.replace("_", "-"))
-         for f in fields(experiment.ExperimentConfig)}
+from .experiment import FLAGS
 
 
 def _add_config_flags(parser):
+    """One flag per config field, collecting its text; ``load_config`` parses it."""
     parser.add_argument("--config", help="config file (INI)")
     for f in fields(experiment.ExperimentConfig):
-        if isinstance(f.default, tuple):
-            kind = dict(type=type(f.default[0]), nargs="+")
-        else:
-            kind = dict(type=type(f.default))
-        parser.add_argument(FLAGS[f.name], dest=f.name, help=f"config key {f.name}", **kind)
+        parser.add_argument(FLAGS[f.name], dest=f.name, help=f"config key {f.name}",
+                            nargs="+" if isinstance(f.default, tuple) else None)
 
 
 def _resolve_config(args):
-    if args.config is not None:
-        cfg = experiment.load_config(args.config)
-    else:
-        cfg = experiment.default_config(args.family or "heat")
-    overrides = {name: tuple(value) if isinstance(value, list) else value
-                 for name in FLAGS if (value := getattr(args, name)) is not None}
-    cfg = replace(cfg, **overrides).validate()
+    flags = {name: value for name in FLAGS if (value := getattr(args, name)) is not None}
+    cfg = experiment.load_config(args.config, **flags)
     # svd-diag's damping sweep, checked before any solve
     experiment.damping_configs(cfg, getattr(args, "damping", None))
     return cfg

@@ -143,7 +143,7 @@ def apply_system_operator(inst, p):
     """Apply p -> p + M Gramian(p), the matrix of the final-time adjoint system,
     to a vector of shape (n,) or to each column of a block of shape (n, k)."""
     p = np.asarray(p, dtype=float)
-    return p + inst.apply_M(apply_gramian(inst, p))
+    return p + inst.M @ apply_gramian(inst, p)
 
 
 def operator_key(inst):
@@ -152,9 +152,8 @@ def operator_key(inst):
     Hashes everything ``apply_system_operator`` reads from ``inst``:
     ``grid`` (step count and dt of both sweeps), ``ip.weight`` (inside
     ``B_adj``), ``step_propagator`` (both sweeps), ``step_input_map``
-    (forward sweep), ``B_adj`` and ``R`` (``_controls``) and ``M``
-    (``apply_M``).  Equal keys give bit-identical
-    images.  A 16-byte digest, not the raw bytes, so a key costs no memory.
+    (forward sweep), ``B_adj`` and ``R`` (``_controls``) and ``M``.  Equal
+    keys give bit-identical images.  A 16-byte digest, not the raw bytes, so a key costs no memory.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(np.array([inst.grid.T, inst.grid.n_t, inst.ip.weight]).tobytes())
@@ -166,7 +165,7 @@ def operator_key(inst):
 
 def rhs_vector(inst):
     """Right-hand side M (x(T) - xT), x the uncontrolled state started from x0."""
-    return inst.apply_M(solve_state_forward(inst, inst.x0) - inst.xT)
+    return inst.M @ (solve_state_forward(inst, inst.x0) - inst.xT)
 
 
 def evaluate_cost(inst, u):
@@ -174,7 +173,7 @@ def evaluate_cost(inst, u):
     0.5 dt sum_k ubar_k^T R ubar_k of the midpoint averages ubar_k = (u_k +
     u_{k+1}) / 2 that the forward step pairs, so the exact optimum minimizes it."""
     mismatch = solve_state_forward(inst, inst.x0, u) - inst.xT
-    tracking = 0.5 * inst.ip.dot(mismatch, inst.apply_M(mismatch))
+    tracking = 0.5 * inst.ip.dot(mismatch, inst.M @ mismatch)
     mid = 0.5 * (u[1:] + u[:-1])
     return tracking + 0.5 * inst.grid.dt * float(np.einsum("ki,ij,kj->", mid, inst.R, mid))
 

@@ -147,7 +147,7 @@ def error_estimator(inst, p):
     p = np.asarray(p, dtype=float)
     control = dynamics.solve_adjoint_backward(inst, p)
     final_state = dynamics.solve_state_forward(inst, inst.x0, control)
-    eta = inst.ip.norm(inst.apply_M(final_state - inst.xT) - p)
+    eta = inst.ip.norm(inst.M @ (final_state - inst.xT) - p)
     return eta, control, final_state
 
 
@@ -165,12 +165,3 @@ def assemble_dense_operator(inst):
             f"dense assembly restricted to n <= {_DENSE_ORACLE_LIMIT}, got n = {inst.n}"
         )
     return dynamics.apply_system_operator(inst, np.eye(inst.n))
-
-
-def operator_norm(dense_op):
-    """Spectral norm of a densely assembled operator.
-
-    With a scalar-weighted inner product the induced operator norm equals
-    the Euclidean spectral norm.
-    """
-    return float(np.linalg.svd(dense_op, compute_uv=False)[0])

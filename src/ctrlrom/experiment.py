@@ -50,9 +50,10 @@ _FAMILY_DEFAULTS = {
 }
 
 
-def _key(section, default):
-    """A config field stored under ``[section]`` of the INI file."""
-    return field(default=default, metadata={"section": section})
+def _key(section, default, flag=None):
+    """A config field stored under ``[section]`` of the INI file and set by
+    the command-line flag ``flag``, by default ``--name-with-dashes``."""
+    return field(default=default, metadata={"section": section, "flag": flag})
 
 
 @dataclass
@@ -61,13 +62,14 @@ class ExperimentConfig:
 
     Each field is one INI key, in the section its ``metadata["section"]``
     names (sections and keys are written in field order), and one
-    command-line flag (``cli.FLAGS``); a ``<kind>_*`` field is the
+    command-line flag, ``FLAGS[name]``; ``load_config`` resolves both.  A
+    field's default gives its type, and a ``<kind>_*`` field is the
     constructor argument ``*`` of the surrogate of that kind.
     """
 
     family: str = _key("family", "heat")
     n_y: int = _key("family", 100)
-    T: float = _key("family", 0.1)
+    T: float = _key("family", 0.1, flag="--final-time")
     steps_per_point: int = _key("family", 30)
     nu: float = _key("family", 10.0)
     train_grid: tuple = _key("training", (8, 8))
@@ -75,7 +77,7 @@ class ExperimentConfig:
     max_basis: int = _key("greedy", 50)
     cg_tol: float = _key("greedy", 1e-12)
     cg_max_iter: int = _key("greedy", 0)  # 0 = solver default (10 * state dimension)
-    surrogate_kinds: tuple = _key("surrogates", ("kernel", "gpr", "mlp"))
+    surrogate_kinds: tuple = _key("surrogates", ("kernel", "gpr", "mlp"), flag="--surrogates")
     kernel_beta: float = _key("surrogates", 0.5)
     gpr_restarts: int = _key("surrogates", 10)
     mlp_restarts: int = _key("surrogates", 10)
@@ -115,9 +117,14 @@ class ExperimentConfig:
         return self
 
 
+# the command-line flag of each config field
+FLAGS = {f.name: f.metadata["flag"] or "--" + f.name.replace("_", "-")
+         for f in fields(ExperimentConfig)}
+
+
 def default_config(family):
     """Documented per-family defaults reproducing the benchmark setups."""
-    if family not in _FAMILY_DEFAULTS:
+    if not (isinstance(family, str) and family in _FAMILY_DEFAULTS):
         raise ValueError(f"unknown family '{family}'")
     cfg = ExperimentConfig(family=family)
     return replace(cfg, **_FAMILY_DEFAULTS[family]).validate()
@@ -132,9 +139,13 @@ def _format_value(value):
 
 
 def _parse_value(text, template):
+    """``text`` read as the type of ``template``; a tuple's text is a string
+    of tokens or their list.  Text for a string field passes through as it
+    is, so that ``validate()`` rejects one that is not a string."""
     if isinstance(template, (tuple, list)):
         inner = template[0] if len(template) else "x"
-        return tuple(_parse_value(tok, inner) for tok in text.split())
+        return tuple(_parse_value(tok, inner)
+                     for tok in (text.split() if isinstance(text, str) else text))
     if isinstance(template, int):
         return int(text)
     if isinstance(template, float):
@@ -154,54 +165,61 @@ def save_config(config, path):
         parser.write(fh)
 
 
-def load_config(path):
-    """Read a config written by ``save_config``.
+def load_config(path=None, **flags):
+    """The validated config of a run: the file at ``path`` as ``save_config``
+    writes it, if any, with ``flags`` over it.
 
-    Keys missing from the file fall back to the per-family defaults of the
-    family named in the file; a file that is not INI, a section or key that
-    ``save_config`` does not write there, or a value that does not parse as
-    its field's type raises ``ValueError`` naming the file, section and key.
-    A config that ``validate()`` rejects raises its message after the file's
-    name, and after the section and key too when exactly one of the file's
-    values makes the family defaults invalid on its own.
+    ``flags`` maps field names to texts as the command line gives them: a
+    string, or a tuple field's list of tokens.  A flag's text overrides the
+    file's, and each parses as its field's type.  A field set by neither
+    takes the default of the family the flags name, else of the one the
+    file names, else heat's.  A file that is not INI, a section or key that
+    ``save_config`` does not write there, or a text that does not parse
+    raises ``ValueError`` naming where the text came from: the file, section
+    and key, or the flag.  A config that ``validate()`` rejects raises its
+    message, located the same way when exactly one value makes the family
+    defaults invalid on its own, and else after the file's name, if any.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    texts, where = {}, {}
+    if path is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            found = parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: malformed config file: {exc}") from exc
+        if not found:
+            raise FileNotFoundError(f"config file {path} not found")
+        keys = {(f.metadata["section"], parser.optionxform(f.name)): f.name
+                for f in fields(ExperimentConfig)}
+        for section in parser.sections():
+            for option, text in parser[section].items():
+                if (section, option) not in keys:
+                    raise ValueError(f"{path}: unknown key '{option}' in section [{section}]")
+                name = keys[section, option]
+                texts[name], where[name] = text, f"{path}: key '{option}' in section [{section}]"
+    for name, text in flags.items():
+        texts[name], where[name] = text, f"flag {FLAGS[name]}"
+    template, values = ExperimentConfig(), {}
+    for name, text in texts.items():
+        try:
+            values[name] = _parse_value(text, getattr(template, name))
+        except (ValueError, TypeError) as exc:  # TypeError: argparse's [] for a dropped value
+            raise ValueError(f"{where[name]}: cannot parse {text!r}: {exc}") from exc
     try:
-        found = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ValueError(f"{path}: malformed config file: {exc}") from exc
-    if not found:
-        raise FileNotFoundError(f"config file {path} not found")
-    family = parser.get("family", "family", fallback="heat")
-    try:
-        defaults = default_config(family)
+        defaults = default_config(values.get("family", "heat"))
     except ValueError as exc:
-        raise ValueError(f"{path}: key 'family' in section [family]: {exc}") from exc
-    keys = {(f.metadata["section"], parser.optionxform(f.name)): f.name
-            for f in fields(ExperimentConfig)}
-    values, where = {}, {}
-    for section in parser.sections():
-        for option, text in parser[section].items():
-            if (section, option) not in keys:
-                raise ValueError(f"{path}: unknown key '{option}' in section [{section}]")
-            name = keys[section, option]
-            where[name] = f"key '{option}' in section [{section}]"
-            try:
-                values[name] = _parse_value(text, getattr(defaults, name))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {where[name]}: "
-                                 f"cannot parse {text!r}: {exc}") from exc
+        raise ValueError(f"{where['family']}: {exc}") from exc
     try:
         return replace(defaults, **values).validate()
     except ValueError as exc:
-        at_fault = []  # the file's values that the family defaults reject alone
+        at_fault = []  # the values that the family defaults reject alone
         for name, value in values.items():
             try:
                 replace(defaults, **{name: value}).validate()
             except ValueError:
                 at_fault.append(where[name])
-        located = f"{at_fault[0]}: " if len(at_fault) == 1 else ""
-        raise ValueError(f"{path}: {located}{exc}") from exc
+        located = at_fault[0] if len(at_fault) == 1 else path
+        raise ValueError(f"{located}: {exc}" if located is not None else str(exc)) from exc
 
 
 def _cg_max_iter(config):

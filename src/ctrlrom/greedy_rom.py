@@ -210,7 +210,7 @@ def greedy_offline(
         start = (key, inst.x0.tobytes())
         if start not in free:
             free[start] = dynamics.solve_state_forward(inst, inst.x0)
-        rhs.append(inst.apply_M(free[start] - inst.xT))  # as dynamics.rhs_vector
+        rhs.append(inst.M @ (free[start] - inst.xT))  # as dynamics.rhs_vector
     del inst  # only the first instance of each operator stays alive
     groups = list(groups.values())
     first = groups[0][0]

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels shared by every other module.
 
 All routines work on plain numpy arrays.  Inner products are weighted
-Euclidean products with a positive scalar weight; for the PDE benchmarks the
-weight equals the spatial grid size, which makes the discrete norm consistent
-with the L2 norm of the underlying functions.
+Euclidean products with a finite positive scalar weight; for the PDE
+benchmarks the weight equals the spatial grid size, which makes the discrete
+norm consistent with the L2 norm of the underlying functions.
 """
 
 from dataclasses import dataclass
@@ -20,8 +20,8 @@ class InnerProduct:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.weight > 0.0:
-            raise ValueError(f"inner-product weight must be positive, got {self.weight}")
+        if not 0.0 < self.weight < np.inf:
+            raise ValueError(f"inner-product weight must be finite positive, got {self.weight}")
 
     def dot(self, x, y):
         x = np.asarray(x, dtype=float)

@@ -161,9 +161,6 @@ class ProblemInstance:
         c, lower = self._R_chol
         return dpotrs(c, rhs, lower=lower)[0]
 
-    def apply_M(self, v):
-        return self.M @ v
-
 
 @dataclass(frozen=True)
 class ProblemFamily:

@@ -179,6 +179,19 @@ class TestConfigFile:
         assert exit_.value.code == 2
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", ["n_y", "family"])
+    def test_dropped_value_of_a_number_or_family_flag_named(self, tmp_path, monkeypatch,
+                                                            capsys, name):
+        monkeypatch.chdir(tmp_path)
+        argv = ["offline", f"{FLAGS[name]}=--"]
+        if getattr(build_parser().parse_args(argv), name) == "--":
+            pytest.skip("this argparse keeps a flag value of '--'")
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"error: flag {FLAGS[name]}: " in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_defaults_per_family(self):
         heat = default_config("heat")
         wave = default_config("wave")
@@ -196,6 +209,34 @@ class TestConfigFile:
         assert cfg.family == "wave"
         assert cfg.test_count == 7
         assert cfg.tolerance == default_config("wave").tolerance
+
+    @pytest.mark.parametrize("text", [
+        "[test]\ntest_count = 7\n",
+        "[family]\nfamily = heat\n\n[test]\ntest_count = 7\n",
+    ], ids=["no-family", "family-heat"])
+    def test_partial_file_takes_the_defaults_of_the_family_flag(self, tmp_path, text):
+        path = tmp_path / "partial.ini"
+        path.write_text(text, encoding="utf-8")
+        expected = replace(default_config("wave"), test_count=7)
+        assert load_config(path, family="wave") == expected
+        args = build_parser().parse_args(["offline", "--config", str(path), "--family", "wave"])
+        assert _resolve_config(args) == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("1", "flag --n-y: n_y >= 2 and steps_per_point >= 1 required"),
+        ("1.5", "flag --n-y: cannot parse '1.5'"),
+    ], ids=["invalid", "unparsable"])
+    @pytest.mark.parametrize("with_file", [False, True], ids=["flags", "file-and-flags"])
+    def test_bad_flag_named(self, tmp_path, capsys, text, message, with_file):
+        path = tmp_path / "valid.ini"
+        path.write_text("[test]\ntest_count = 7\n", encoding="utf-8")
+        outdir = tmp_path / "run"
+        with pytest.raises(SystemExit) as exit_:
+            main(["offline", *(["--config", str(path)] if with_file else []),
+                  "--n-y", text, "--output-dir", str(outdir)])
+        assert exit_.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err  # the flag, not the file
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("text", [
         "[greedy]\ntolerence = 1e-3\n",

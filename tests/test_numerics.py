@@ -33,9 +33,11 @@ class TestInnerProduct:
         with pytest.raises(ValueError):
             ip.dot(np.ones(3), np.ones(4))
 
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            InnerProduct(weight=0.0)
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_nonpositive_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="finite positive"):
+            InnerProduct(weight=weight)
 
 
 class TestCgSolve:

@@ -71,6 +71,7 @@ class TestHeaderTypes:
         ("basis", {"family": 3}),
         ("basis", {"ip_weight": "0.1"}),
         ("basis", {"ip_weight": float("nan")}),
+        ("basis", {"ip_weight": float("inf")}),
         ("basis", {"tolerance": "x"}),
         ("basis", {"tolerance": float("inf")}),
         ("basis", {"tolerance": -1.0}),  # the greedy requires a positive tolerance
@@ -85,10 +86,10 @@ class TestHeaderTypes:
         ("gpr", {"c": -2.0}),
         ("gpr", {"length": 0.0}),
         ("mlp", {"n_outputs": 6.0}),
-    ], ids=["family-int", "ip_weight-str", "ip_weight-nan", "tolerance-str", "tolerance-inf",
-            "tolerance-negative", "n_outputs-str", "n_outputs-bool", "beta-str", "beta-inf",
-            "beta-negative", "beta-zero", "length-null", "c-nan", "c-negative", "length-zero",
-            "n_outputs-float"])
+    ], ids=["family-int", "ip_weight-str", "ip_weight-nan", "ip_weight-inf", "tolerance-str",
+            "tolerance-inf", "tolerance-negative", "n_outputs-str", "n_outputs-bool", "beta-str",
+            "beta-inf", "beta-negative", "beta-zero", "length-null", "c-nan", "c-negative",
+            "length-zero", "n_outputs-float"])
     def test_wrong_type_rejected(self, saved_files, tmp_path, kind, change):
         _, meta, arrays = persist.read(saved_files[kind], kind)
         bad = tmp_path / f"bad_{kind}.bin"

@@ -1,5 +1,6 @@
 """Rules the package source keeps: no check lives only in an ``assert``
-(``python -O`` strips it), and only the command-line runner prints."""
+(``python -O`` strips it), only the command-line runner prints, and a rule
+that one function owns is read by that function alone."""
 
 import ast
 from pathlib import Path
@@ -44,10 +45,20 @@ def _functions_reading(tree, name):
     return readers
 
 
+def _package_readers(name):
+    """``file:function`` of every function in the package that reads ``name``."""
+    return [f"{path.relative_to(PACKAGE)}:{owner}" for path in SOURCES
+            for owner in _functions_reading(ast.parse(path.read_text(encoding="utf-8")), name)]
+
+
 def test_one_function_steps_through_time():
     # the chunk size is read where the chunk loop is: a second reader would
     # be a second copy of the stepping loop
-    readers = [f"{path.relative_to(PACKAGE)}:{owner}" for path in SOURCES
-               for owner in _functions_reading(ast.parse(path.read_text(encoding="utf-8")),
-                                               "_CHUNK")]
+    readers = _package_readers("_CHUNK")
     assert len(readers) == 1, readers
+
+
+def test_one_function_resolves_the_config():
+    # the family defaults are layered under the file and the flags where a
+    # run's settings are resolved: a second reader would be a second resolver
+    assert _package_readers("default_config") == ["experiment.py:load_config"]
