@@ -15,19 +15,20 @@ block.  Both sweeps step through one kernel, ``_march``: the forward sweep
 through the one-step propagator S with each chunk's input terms, the
 backward sweep through S^T in reversed time, ``_CHUNK`` steps at a time in
 one buffer, so a sweep keeps no trajectory and works in
-O(_CHUNK * n * k + n_t * m * k) floats.  A step multiplies the k vectors
-one by one inside one numpy call, a single vector through ``ndarray.dot``
-and a block through a stacked ``np.matmul``, so each block column is
-bit-identical to the single-vector result: the certificates cancel O(1)
-terms down to tiny residuals and would otherwise change with the grouping
-of the vectors.  The steps of a chunk run from ``map``, so a step costs
-little more than its BLAS call, which reads the whole propagator; see
+O(_CHUNK * n * k + n_t * m * k) floats.  A single vector steps through
+``ndarray.dot``, the matrix-vector product, and a block of k >= 2 vectors
+as one matrix product x_{j+1}^T = x_j^T S^T of its (k, n) rows.  The
+matrix product groups the sums of each step otherwise than the
+matrix-vector product, so a block column can differ from the same vector
+swept alone by rounding: no certificate and no basis vector reads a
+block's bits, only least-squares fits and the Nystrom sketch do.  The
+steps of a chunk run from ``map``, so a step costs little more than its
+BLAS call, which reads the whole propagator; see
 ``system._cache_line_matrix`` for why that starts on a cache line.
 """
 
 import hashlib
 from collections import deque
-from functools import partial
 
 import numpy as np
 
@@ -42,14 +43,8 @@ def _rows(inst, v, what):
     return v.reshape(inst.n, -1).T
 
 
-def _steps(a):
-    """The per-step operands of an array shaped (..., k, n, 1): the array
-    itself, or for k = 1 its 1-d vectors."""
-    return a[..., 0, :, 0] if a.shape[-3] == 1 else a
-
-
 def _controls(inst, phi):
-    """u = -R^{-1} B* phi for adjoints phi of shape (L, k, n, 1); returns (L, m, k)."""
+    """u = -R^{-1} B* phi for adjoints phi of shape (L, k, n); returns (L, m, k)."""
     L, k = phi.shape[:2]
     u = -inst.solve_R(inst.B_adj @ phi.reshape(L * k, inst.n).T)
     return u.reshape(inst.m, L, k).transpose(1, 0, 2)
@@ -57,21 +52,28 @@ def _controls(inst, phi):
 
 def _march(S, rows, n_t, inputs=None):
     """Yield (lo, nodes) for each chunk of the n_t steps x_{j+1} = S x_j + g_j
-    from the k vectors ``rows`` (k, n): nodes (L + 1, k, n, 1) holds x_lo, ...,
-    x_{lo+L} in the one buffer every chunk reuses, and ``inputs(lo, L)``, if
-    given, returns g_lo, ..., g_{lo+L-1} shaped (L, k, n, 1)."""
+    from the k vectors ``rows`` (k, n): nodes (L + 1, k, n) holds x_lo, ...,
+    x_{lo+L} as rows in the one buffer every chunk reuses, and ``inputs(lo, L)``,
+    if given, returns g_lo, ..., g_{lo+L-1} shaped (L, k, n)."""
     k, n = rows.shape
-    step = S.dot if k == 1 else partial(np.matmul, S)
-    buf = np.empty((min(_CHUNK, n_t) + 1, k, n, 1))
-    buf[0, :, :, 0] = rows
-    nodes = list(_steps(buf))
+    buf = np.empty((min(_CHUNK, n_t) + 1, k, n))
+    buf[0] = rows
+    if k == 1:
+        step, nodes = S.dot, list(buf[:, 0])
+    else:
+        S_T = S.T
+
+        def step(x, out):
+            return np.matmul(x, S_T, out=out)
+
+        nodes = list(buf)
     for lo in range(0, n_t, _CHUNK):
         L = min(lo + _CHUNK, n_t) - lo
         # nodes[j + 1] = S nodes[j] for j < L; deque makes map's calls
         steps = map(step, nodes[:L], nodes[1 : L + 1])
         if inputs is not None:
             # zip alternates the calls: each product, then its input term
-            g = _steps(inputs(lo, L))
+            g = inputs(lo, L).reshape(L, *nodes[0].shape)
             steps = zip(steps, map(np.add, nodes[1 : L + 1], g, nodes[1 : L + 1]))
         deque(steps, maxlen=0)
         yield lo, buf[: L + 1]
@@ -118,7 +120,7 @@ def solve_state_forward(inst, x_init, u=None):
             s = controls[lo : lo + L] + controls[lo + 1 : lo + L + 1]
             g = s.transpose(0, 2, 1).reshape(-1, inst.m) @ inst.step_input_map.T
             g *= 0.5 * inst.grid.dt
-            return g.reshape(L, k, inst.n, 1)
+            return g.reshape(L, k, inst.n)
 
     for _, xs in _march(inst.step_propagator, rows, n_t, inputs):
         pass

@@ -65,7 +65,9 @@ def nystrom_preconditioner(inst):
     symmetric positive definite for any U and lam >= 0.  Rank-deficient
     sketches are handled by dropping the core eigenvalues at the core's own
     rounding level (its asymmetry), so the pseudo-inverse never fails.
-    Costs 2 block sweeps per batch of at most ``_SKETCH_BATCH`` columns.
+    Costs 2 block sweeps per batch of at most ``_SKETCH_BATCH`` columns, a
+    step of each one matrix product; a block's rounding moves only the
+    preconditioner, and CG's verified residual still certifies the answer.
     """
     n = inst.n
     r_max = n // 2

@@ -176,9 +176,11 @@ def load_config(path=None, **flags):
     file names, else heat's.  A file that is not INI, a section or key that
     ``save_config`` does not write there, or a text that does not parse
     raises ``ValueError`` naming where the text came from: the file, section
-    and key, or the flag.  A config that ``validate()`` rejects raises its
-    message, located the same way when exactly one value makes the family
-    defaults invalid on its own, and else after the file's name, if any.
+    and key, or the flag; so does a flag with an empty list of tokens, where a
+    file's empty text is an empty tuple.  A config that ``validate()``
+    rejects raises its message, located the same way when exactly one value
+    makes the family defaults invalid on its own, and else after the file's
+    name, if any.
     """
     texts, where = {}, {}
     if path is not None:
@@ -198,12 +200,14 @@ def load_config(path=None, **flags):
                 name = keys[section, option]
                 texts[name], where[name] = text, f"{path}: key '{option}' in section [{section}]"
     for name, text in flags.items():
+        if isinstance(text, list) and not text:  # argparse before 3.13 makes [] of --flag=--
+            raise ValueError(f"flag {FLAGS[name]}: no value given")
         texts[name], where[name] = text, f"flag {FLAGS[name]}"
     template, values = ExperimentConfig(), {}
     for name, text in texts.items():
         try:
             values[name] = _parse_value(text, getattr(template, name))
-        except (ValueError, TypeError) as exc:  # TypeError: argparse's [] for a dropped value
+        except ValueError as exc:
             raise ValueError(f"{where[name]}: cannot parse {text!r}: {exc}") from exc
     try:
         defaults = default_config(values.get("family", "heat"))

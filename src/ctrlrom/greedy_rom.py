@@ -17,10 +17,12 @@ parameters and their final reduced coefficients.
 
 Online, the reduced coefficients for a new parameter solve a small
 normal-equation system built from the images of the basis vectors under the
-parameter's system operator; the residual of that projection doubles as a
-rigorous error estimate at no extra cost.  Every expansion in the basis, the
-g-rom's and each surrogate's, multiplies through the C-ordered (n, N) array
-``ReducedBasis.matrix()``.
+parameter's system operator.  The g-rom's answer and each surrogate's then
+go through ``reduced_solution``: the coefficients are expanded through the
+C-ordered (n, N) array ``ReducedBasis.matrix()``, and a certified answer
+takes its control and its estimate from ``exact_solver.error_estimator``,
+the one residual behind every certificate.  The projection residual stays
+the greedy's cached estimate, which selects, stops and fills the history.
 """
 
 import logging
@@ -31,7 +33,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import dynamics, persist
 from .errors import GramMatrixError, GreedyBudgetError
-from .exact_solver import solve_exact
+from .exact_solver import error_estimator, solve_exact
 from .numerics import InnerProduct, gram_schmidt_extend
 
 log = logging.getLogger(__name__)
@@ -83,9 +85,8 @@ class ReducedBasis:
         """The basis vectors as the columns of a C-ordered (n, N) array.
 
         Every expansion ``matrix() @ coeffs`` multiplies through it, because
-        BLAS rounds ``vectors.T @ coeffs`` or ``coeffs @ vectors`` otherwise:
-        the certificates cancel O(1) terms down to tiny residuals and would
-        move with those bits.
+        BLAS rounds ``vectors.T @ coeffs`` or ``coeffs @ vectors`` otherwise,
+        and the greedy's true errors and the online answers keep their bits.
         """
         return np.ascontiguousarray(self.vectors.T)
 
@@ -145,10 +146,12 @@ def project_coefficients(inst, basis):
     """Project the right-hand side onto the span of the perturbed states.
 
     Computes x_i = (I + M Gramian) phi_i for all basis vectors at once (one
-    backward and one forward sweep over the N columns) and the right-hand
-    side (one sweep), then returns the coefficients of the orthogonal
-    projection of the right-hand side onto span{x_i} in the weighted inner
-    product, and the residual norm that certifies the reconstructed adjoint.
+    backward and one forward sweep over the N columns, a block whose
+    columns may differ from single-vector images by rounding) and the
+    right-hand side (one sweep), then returns the coefficients of the
+    orthogonal projection of the right-hand side onto span{x_i} in the
+    weighted inner product, and the projection residual norm, which equals
+    the certificate of the expanded adjoint up to rounding.
     """
     if basis.size == 0:
         raise ValueError("cannot project onto an empty basis")
@@ -273,19 +276,32 @@ def greedy_offline(
     return basis, make_training_data()
 
 
+def reduced_solution(inst, basis, coeffs, certify=True):
+    """The answer at one instance whose adjoint is the expansion of ``coeffs``
+    in the basis, ``phi = basis.matrix() @ coeffs``.
+
+    Certified, the control and the estimate come from one
+    ``error_estimator`` call (two sweeps); uncertified, the control follows
+    from one backward sweep.
+    """
+    phi = basis.matrix() @ coeffs
+    if certify:
+        est, control, _ = error_estimator(inst, phi)
+    else:
+        est, control = None, dynamics.solve_adjoint_backward(inst, phi)
+    return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
+
+
 def rom_online(inst, basis, certify=True):
     """Evaluate the reduced model at one instance (Galerkin projection).
 
-    Projects onto the perturbed-state span, reconstructs the approximate
-    final-time adjoint and its control, and, if requested, reports the
-    projection residual as its certificate (no extra evolution solves).
-    A query costs 4 sweeps, two of them over the N basis columns at once.
+    Projects onto the perturbed-state span and answers through
+    ``reduced_solution``.  A certified query costs 5 sweeps: the
+    right-hand side, two over the N basis columns at once, and the
+    certificate's two, the same two a certified surrogate query runs.
     """
-    coeffs, eta = project_coefficients(inst, basis)
-    phi = basis.matrix() @ coeffs
-    control = dynamics.solve_adjoint_backward(inst, phi)
-    est = eta if certify else None
-    return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
+    coeffs, _ = project_coefficients(inst, basis)
+    return reduced_solution(inst, basis, coeffs, certify)
 
 
 def _basis_meta(meta):

@@ -2,15 +2,15 @@
 
 Three interchangeable regressors predict reduced coefficients from a
 parameter: greedy sparse kernel interpolation, Gaussian process regression
-and a small feedforward network.  A certified query expands the prediction
-in the reduced basis and reconstructs its control and certificate with one
-backward and one forward sweep, independent of the basis size; without
-certification only the backward sweep runs.
+and a small feedforward network.  A query answers through the g-rom's own
+``greedy_rom.reduced_solution``: it expands the prediction in the reduced
+basis and, certified, reconstructs its control and certificate with one
+backward and one forward sweep (``error_estimator``), independent of the
+basis size; without certification only the backward sweep runs.
 """
 
-from .. import dynamics, persist
-from ..exact_solver import error_estimator
-from ..greedy_rom import ReducedSolution
+from .. import persist
+from ..greedy_rom import reduced_solution
 from .base import CoefficientRegressor
 from .gpr import GPRegressor
 from .kernel import KernelRegressor
@@ -42,9 +42,8 @@ def load_model(path):
 def surrogate_online(inst, basis, model, certify=True):
     """Evaluate a fitted surrogate at one instance and reconstruct the control.
 
-    The predicted coefficients are expanded in the reduced basis.  Certified,
-    the control and the estimate come from one ``error_estimator`` call (two
-    sweeps); uncertified, the control follows from one backward sweep.
+    The predicted coefficients answer through ``greedy_rom.reduced_solution``:
+    certified, two sweeps; uncertified, one.
     """
     if model.n_outputs != basis.size:
         raise ValueError(
@@ -52,12 +51,5 @@ def surrogate_online(inst, basis, model, certify=True):
         )
     if inst.parameter is None:
         raise ValueError("instance does not carry its parameter; build it from a family")
-    coeffs = model.predict(inst.parameter)
-    phi = basis.matrix() @ coeffs
-    if certify:
-        est, control, _ = error_estimator(inst, phi)
-    else:
-        est = None
-        control = dynamics.solve_adjoint_backward(inst, phi)
-    return ReducedSolution(coeffs=coeffs, phiT_approx=phi, control=control, estimated_error=est)
+    return reduced_solution(inst, basis, model.predict(inst.parameter), certify)
 

@@ -131,14 +131,25 @@ class TestNystromPreconditioner:
 
     def test_results_do_not_depend_on_blas_threads(self):
         # BLAS reads its thread count once, at load, so each count runs in
-        # a fresh interpreter
+        # a fresh interpreter.  The g-rom queries step blocks of 9 and 26
+        # columns, the largest block the configs run, on synthetic
+        # orthonormal bases, so no greedy runs
         script = (
             "import hashlib\n"
+            "import numpy as np\n"
             "from ctrlrom.exact_solver import solve_exact\n"
+            "from ctrlrom.greedy_rom import ReducedBasis, rom_online\n"
             "from ctrlrom.system import build_heat_family, build_wave_family\n"
             "for inst, tol in ((build_wave_family(n_y=40).build([6.5]), 1e-9),\n"
             "                  (build_heat_family(n_y=100).build([1.5, 1.0]), 1e-12)):\n"
             "    print(hashlib.sha256(solve_exact(inst, cg_tol=tol).phiT.tobytes()).hexdigest())\n"
+            "for inst, N in ((build_heat_family(n_y=100).build([1.5, 1.0]), 9),\n"
+            "                (build_wave_family(n_y=60).build([6.5]), 26)):\n"
+            "    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((inst.n, N)))[0]\n"
+            "    basis = ReducedBasis(Q.T / inst.ip.weight ** 0.5, np.zeros((N, inst.parameter.size)),\n"
+            "                         ip=inst.ip, tolerance_used=1.0)\n"
+            "    sol = rom_online(inst, basis)\n"
+            "    print(hashlib.sha256(sol.coeffs.tobytes() + sol.phiT_approx.tobytes()).hexdigest())\n"
         )
         digests = []
         for threads in ("2", "1"):
@@ -148,7 +159,7 @@ class TestNystromPreconditioner:
             done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                   text=True, timeout=300, check=True)
             digests.append(done.stdout.split())
-        assert len(digests[0]) == 2
+        assert len(digests[0]) == 4
         assert digests[0] == digests[1]
 
 

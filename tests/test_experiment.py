@@ -192,6 +192,21 @@ class TestConfigFile:
         assert f"error: flag {FLAGS[name]}: " in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_empty_token_list_of_a_tuple_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        if build_parser().parse_args(["offline", "--surrogates=--"]).surrogate_kinds != []:
+            pytest.skip("this argparse keeps a flag value of '--'")
+        # older argparse leaves an empty list, which would run no surrogate
+        with pytest.raises(SystemExit) as exit_:
+            main(["offline", "--surrogates=--", "--output-dir", str(out)])
+        assert exit_.value.code == 2
+        assert "error: flag --surrogates: " in capsys.readouterr().err
+        assert not out.exists()
+        # a file's empty list keeps its meaning
+        path = tmp_path / "none.ini"
+        path.write_text("[surrogates]\nsurrogate_kinds =\n", encoding="utf-8")
+        assert load_config(path).surrogate_kinds == ()
+
     def test_defaults_per_family(self):
         heat = default_config("heat")
         wave = default_config("wave")

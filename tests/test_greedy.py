@@ -351,12 +351,15 @@ class TestOperatorGroups:
         (initial_state_family(), [3, 4], 1e-5, 1e-12),
     ], ids=["heat", "wave", "initial-state"])
     def test_training_coefficients_equal_projection_bitwise(self, family, counts, tol, cg_tol):
+        # no longer bit for bit, despite the name kept for its test ids: the
+        # greedy fits single-vector images, the projection a block's, and
+        # the two round apart
         basis, data = greedy_offline(family, sample_grid(family.domain, counts),
                                      tol=tol, cg_tol=cg_tol)
         assert basis.size >= 2
         for mu, coeffs in zip(data.parameters, data.coefficients):
             expected, _ = project_coefficients(family.build(mu), basis)
-            assert np.array_equal(coeffs, expected)
+            assert np.linalg.norm(coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestRomOnline:

@@ -62,3 +62,9 @@ def test_one_function_resolves_the_config():
     # the family defaults are layered under the file and the flags where a
     # run's settings are resolved: a second reader would be a second resolver
     assert _package_readers("default_config") == ["experiment.py:load_config"]
+
+
+def test_one_function_certifies_a_reduced_answer():
+    # the g-rom and every surrogate take their estimate from the one
+    # residual: a second reader would be a second certificate route
+    assert _package_readers("error_estimator") == ["greedy_rom.py:reduced_solution"]
