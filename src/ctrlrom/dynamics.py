@@ -12,19 +12,24 @@ callers use: the backward sweep the induced control, the forward sweep the
 final state.  A control is the array of its values at the nodes
 ``inst.grid.nodes()``, of shape (n_t + 1, m), or (n_t + 1, m, k) for a
 block.  Both sweeps step through one kernel, ``_march``: the forward sweep
-through the one-step propagator S with each chunk's input terms, the
-backward sweep through S^T in reversed time, ``_CHUNK`` steps at a time in
-one buffer, so a sweep keeps no trajectory and works in
-O(_CHUNK * n * k + n_t * m * k) floats.  A single vector steps through
-``ndarray.dot``, the matrix-vector product, and a block of k >= 2 vectors
-as one matrix product x_{j+1}^T = x_j^T S^T of its (k, n) rows.  The
-matrix product groups the sums of each step otherwise than the
-matrix-vector product, so a block column can differ from the same vector
-swept alone by rounding: no certificate and no basis vector reads a
-block's bits, only least-squares fits and the Nystrom sketch do.  The
-steps of a chunk run from ``map``, so a step costs little more than its
-BLAS call, which reads the whole propagator; see
-``system._cache_line_matrix`` for why that starts on a cache line.
+with S and each chunk's input terms, the backward sweep with S^T in
+reversed time, ``_CHUNK`` steps at a time in one buffer, so a sweep keeps
+no trajectory and works in O(_CHUNK * n * k + n_t * m * k) floats.  A
+single vector steps through ``ndarray.dot``, the matrix-vector product,
+plus ``np.add`` for an input term.  A block of k >= 2 vectors steps as one
+matrix product of its (k, n) rows with a C-ordered operand: the backward
+sweep's phi_j^T = phi_{j+1}^T S with ``block_propagator``, a C-ordered copy
+of S, and the forward sweep's x_{j+1}^T = [x_j^T | v_j] [S^T; G^T] with
+``step_operator.T``, so the input slab v_j = (dt/2)(u_j + u_{j+1})^T joins
+the step's one product and no step adds it apart (OpenBLAS multiplies a
+row block by an F-ordered operand on a slower path: 15.0 against 6.9 us a
+step at k = 16, n = 100).  The matrix product groups the sums of each step
+otherwise than the matrix-vector product, so a block column can differ
+from the same vector swept alone by rounding: no certificate and no basis
+vector reads a block's bits, only least-squares fits and the Nystrom
+sketch do.  The steps of a chunk run from ``map``, so a step costs little
+more than its BLAS call, which reads the whole operand; see
+``system._cache_line_array`` for why that starts on a cache line.
 """
 
 import hashlib
@@ -50,33 +55,43 @@ def _controls(inst, phi):
     return u.reshape(inst.m, L, k).transpose(1, 0, 2)
 
 
-def _march(S, rows, n_t, inputs=None):
-    """Yield (lo, nodes) for each chunk of the n_t steps x_{j+1} = S x_j + g_j
-    from the k vectors ``rows`` (k, n): nodes (L + 1, k, n) holds x_lo, ...,
-    x_{lo+L} as rows in the one buffer every chunk reuses, and ``inputs(lo, L)``,
-    if given, returns g_lo, ..., g_{lo+L-1} shaped (L, k, n)."""
+def _march(S, operand, rows, n_t, inputs=None):
+    """Yield (lo, nodes) for each chunk of the n_t steps from the k vectors
+    ``rows`` (k, n): nodes (L + 1, k, n) holds x_lo, ..., x_{lo+L} as rows in
+    the one buffer every chunk reuses.
+
+    A single vector steps x_{j+1} = S x_j + g_j, and ``inputs(lo, L)``, if
+    given, returns g_lo, ..., g_{lo+L-1} shaped (L, n).  A block of k >= 2
+    steps as the one product x_{j+1}^T = [x_j^T | v_j] ``operand`` with the
+    C-ordered (n + p, n) operand, and ``inputs(lo, L)`` returns the input
+    slabs v_lo, ..., v_{lo+L-1} shaped (L, k, p); without inputs only the
+    operand's first n rows are read."""
     k, n = rows.shape
-    buf = np.empty((min(_CHUNK, n_t) + 1, k, n))
-    buf[0] = rows
+    width = operand.shape[0] if inputs is not None and k > 1 else n
+    buf = np.empty((min(_CHUNK, n_t) + 1, k, width))
+    buf[0, :, :n] = rows
     if k == 1:
-        step, nodes = S.dot, list(buf[:, 0])
+        step = S.dot
+        nodes = states = list(buf[:, 0])
     else:
-        S_T = S.T
+        operand = operand[:width]
 
         def step(x, out):
-            return np.matmul(x, S_T, out=out)
+            return np.matmul(x, operand, out=out)
 
-        nodes = list(buf)
+        nodes, states = list(buf), list(buf[:, :, :n])
     for lo in range(0, n_t, _CHUNK):
         L = min(lo + _CHUNK, n_t) - lo
-        # nodes[j + 1] = S nodes[j] for j < L; deque makes map's calls
-        steps = map(step, nodes[:L], nodes[1 : L + 1])
-        if inputs is not None:
+        if inputs is not None and k > 1:
+            buf[:L, :, n:] = inputs(lo, L)
+        # states[j + 1] = step of nodes[j] (a block's slab [x_j | v_j]) for
+        # j < L; deque makes map's calls
+        steps = map(step, nodes[:L], states[1 : L + 1])
+        if inputs is not None and k == 1:
             # zip alternates the calls: each product, then its input term
-            g = inputs(lo, L).reshape(L, *nodes[0].shape)
-            steps = zip(steps, map(np.add, nodes[1 : L + 1], g, nodes[1 : L + 1]))
+            steps = zip(steps, map(np.add, states[1 : L + 1], inputs(lo, L), states[1 : L + 1]))
         deque(steps, maxlen=0)
-        yield lo, buf[: L + 1]
+        yield lo, buf[: L + 1, :, :n]
         buf[0] = buf[L]
 
 
@@ -92,7 +107,7 @@ def solve_adjoint_backward(inst, pT):
     rows = _rows(inst, pT, "terminal adjoint")
     n_t = inst.grid.n_t
     u = np.empty((n_t + 1, inst.m, rows.shape[0]))
-    for lo, phi in _march(inst.step_propagator.T, rows, n_t):
+    for lo, phi in _march(inst.step_propagator.T, inst.block_propagator, rows, n_t):
         # phi[j] is the adjoint at node n_t - lo - j
         u[n_t - lo - len(phi) + 1 : n_t - lo + 1] = _controls(inst, phi)[::-1]
     return u if np.ndim(pT) == 2 else u[:, :, 0]
@@ -116,13 +131,17 @@ def solve_state_forward(inst, x_init, u=None):
             raise ValueError("control not aligned with the time grid and the state")
         controls = u.reshape(n_t + 1, inst.m, k)
 
-        def inputs(lo, L):  # (I - dt/2 A)^{-1} B dt/2 (u_j + u_{j+1}) for the chunk's steps
+        def inputs(lo, L):  # the chunk's steps' input terms, as _march takes them
             s = controls[lo : lo + L] + controls[lo + 1 : lo + L + 1]
-            g = s.transpose(0, 2, 1).reshape(-1, inst.m) @ inst.step_input_map.T
+            if k > 1:  # the slabs dt/2 (u_j + u_{j+1})^T that the step's product maps by G
+                s *= 0.5 * inst.grid.dt
+                return s.transpose(0, 2, 1)
+            # (I - dt/2 A)^{-1} B dt/2 (u_j + u_{j+1})
+            g = s[:, :, 0] @ inst.step_input_map.T
             g *= 0.5 * inst.grid.dt
-            return g.reshape(L, k, inst.n)
+            return g
 
-    for _, xs in _march(inst.step_propagator, rows, n_t, inputs):
+    for _, xs in _march(inst.step_propagator, inst.step_operator.T, rows, n_t, inputs):
         pass
     x = xs[-1].reshape(k, inst.n)
     if not np.all(np.isfinite(x)):
@@ -154,7 +173,9 @@ def operator_key(inst):
     Hashes everything ``apply_system_operator`` reads from ``inst``:
     ``grid`` (step count and dt of both sweeps), ``ip.weight`` (inside
     ``B_adj``), ``step_propagator`` (both sweeps), ``step_input_map``
-    (forward sweep), ``B_adj`` and ``R`` (``_controls``) and ``M``.  Equal
+    (forward sweep), ``B_adj`` and ``R`` (``_controls``) and ``M``; a
+    block's operands ``step_operator`` and ``block_propagator`` hold the
+    same values as the propagator and the input map.  Equal
     keys give bit-identical images.  A 16-byte digest, not the raw bytes, so a key costs no memory.
     """
     h = hashlib.blake2b(digest_size=16)

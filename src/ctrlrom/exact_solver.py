@@ -12,8 +12,7 @@ norm is ~1e7, it cuts the iterations tenfold or more.  An exact solve whose
 CG needs no restart costs 2 * (CG iterations) + 4 sweeps: one for the
 right-hand side, two for the verified-residual application at
 convergence, and the backward sweep that yields the solution's control;
-the preconditioner adds 2 block sweeps per batch of at most 16 test
-columns.
+the preconditioner adds 2 block sweeps per batch of 16 test columns.
 
 The certificate of an approximate adjoint p is the residual norm of that
 system.  By linearity it equals the optimality residual
@@ -39,14 +38,17 @@ class ExactSolution:
     control: np.ndarray  # shape (n_t + 1, m)
     cg_iters: int
     residual_norm: float
-    sketch_rank: int  # test columns of the Nystrom preconditioner, 0 for plain CG
+    # test columns the Nystrom preconditioner uses, 0 for plain CG; the
+    # sketch may have applied up to one batch more
+    sketch_rank: int
 
 
 # The Nystrom preconditioner: Gaussian test columns from a fixed seed, so a
 # rerun gives the same bits; the rank starts at _SKETCH_RANK and doubles
-# while the sketch's smallest eigenvalue exceeds the unit shift, up to half
-# the state dimension; the columns go through the operator _SKETCH_BATCH at
-# a time, which bounds the sweeps' memory and changes no bit.
+# while the sketch's smallest eigenvalue exceeds the unit shift, up to the
+# state dimension; the columns go through the operator in whole batches of
+# _SKETCH_BATCH, which bounds the sweeps' memory, and the rule reads only
+# the first r of them, so batching moves no rank.
 _SKETCH_SEED = 0
 _SKETCH_RANK = 8
 _SKETCH_BATCH = 16
@@ -65,30 +67,30 @@ def nystrom_preconditioner(inst):
     symmetric positive definite for any U and lam >= 0.  Rank-deficient
     sketches are handled by dropping the core eigenvalues at the core's own
     rounding level (its asymmetry), so the pseudo-inverse never fails.
-    Costs 2 block sweeps per batch of at most ``_SKETCH_BATCH`` columns, a
-    step of each one matrix product; a block's rounding moves only the
+    The rank r stops at the first sketch with lam_r <= 1, or at n.  Costs 2
+    block sweeps per batch of ``_SKETCH_BATCH`` columns (fewer only where
+    the batch would pass n), a step of each one matrix product; a batch is
+    applied whole as soon as r reaches into it, so a doubled rank may find
+    its columns applied already.  A block's rounding moves only the
     preconditioner, and CG's verified residual still certifies the answer.
     """
     n = inst.n
-    r_max = n // 2
-    if r_max < 1:
-        return None, 0
     rng = np.random.default_rng(_SKETCH_SEED)
     # QR keeps every prefix of the columns orthonormal, so a doubled rank
     # reuses the columns already applied
-    omega = np.linalg.qr(rng.standard_normal((n, r_max)))[0]
-    Y = np.empty((n, r_max))
-    done, r = 0, min(_SKETCH_RANK, r_max)
+    omega = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    Y = np.empty((n, n))
+    done, r = 0, min(_SKETCH_RANK, n)
     while True:
-        for j in range(done, r, _SKETCH_BATCH):
-            k = min(j + _SKETCH_BATCH, r)
-            Y[:, j:k] = dynamics.apply_system_operator(inst, omega[:, j:k]) - omega[:, j:k]
-        done = r
+        while done < r:
+            k = min(done + _SKETCH_BATCH, n)
+            Y[:, done:k] = dynamics.apply_system_operator(inst, omega[:, done:k]) - omega[:, done:k]
+            done = k
         U, lam = _nystrom(omega[:, :r], Y[:, :r])
         lam_r = lam[r - 1] if lam.size == r else 0.0
-        if lam_r <= 1.0 or r == r_max:
+        if lam_r <= 1.0 or r == n:
             break
-        r = min(2 * r, r_max)
+        r = min(2 * r, n)
     scale = (lam_r + 1.0) / (lam + 1.0) - 1.0
 
     def precondition(v):

@@ -72,9 +72,9 @@ class TimeGrid:
 _CACHE_LINE = 64  # bytes
 
 
-def _cache_line_matrix(n):
-    """Uninitialized Fortran-ordered float64 (n, n) array whose first element
-    starts on a cache line.
+def _cache_line_array(shape, order):
+    """Uninitialized float64 array of ``shape`` in ``order`` ("C" or "F")
+    whose first element starts on a cache line.
 
     A sweep step is one BLAS product with the propagator, and numpy's heap
     blocks start on 16 bytes only, so where the propagator starts within a
@@ -85,10 +85,10 @@ def _cache_line_matrix(n):
     padded leading dimension numpy's vector product leaves BLAS (3x slower,
     other bits).
     """
-    nbytes = n * n * 8
+    nbytes = int(np.prod(shape)) * 8
     raw = np.empty(nbytes + _CACHE_LINE, dtype=np.uint8)
     start = -raw.ctypes.data % _CACHE_LINE
-    return raw[start : start + nbytes].view(np.float64).reshape((n, n), order="F")
+    return raw[start : start + nbytes].view(np.float64).reshape(shape, order=order)
 
 
 class ProblemInstance:
@@ -99,10 +99,16 @@ class ProblemInstance:
     the time steppers reuse: the Cholesky factor of R, the Crank-Nicolson
     step matrices (factorized once, then turned into a dense one-step
     propagator), and the adjoint of B in the weighted state inner product.
-    The propagator ``step_propagator`` is Fortran-ordered and starts on a
-    64-byte cache line, and so does ``step_propagator.T``, the C-ordered
-    transpose view the backward sweep steps with (see ``_cache_line_matrix``).
-    Instances are immutable after construction and safe to share.
+    ``step_operator`` is the Fortran-ordered (n, n + m) array [S | G] of the
+    propagator S and the input map G, and ``step_propagator`` and
+    ``step_input_map`` are its column views: a single vector steps with S
+    (forward) or its C-ordered transpose view (backward), and a block's
+    forward step multiplies its rows by ``step_operator.T``, [S^T; G^T] in C
+    order.  ``block_propagator`` is a C-ordered copy of S, which a block's
+    backward step multiplies its rows by.  Both arrays start on a 64-byte
+    cache line, and so do S and every transpose view (see
+    ``_cache_line_array``).  Instances are immutable after construction and
+    safe to share.
     """
 
     def __init__(self, A, B, x0, xT, M, R, ip, grid):
@@ -140,17 +146,25 @@ class ProblemInstance:
         # it into a dense propagator S = (I - dt/2 A)^{-1} (I + dt/2 A) and
         # input map G = (I - dt/2 A)^{-1} B.  The backward adjoint step uses
         # S^T, which keeps the discrete controllability Gramian symmetric to
-        # machine precision.  S is solved in place into a cache-line aligned
-        # Fortran-ordered copy of I + dt/2 A, so S^T is a C-ordered view of
-        # the same memory (see _cache_line_matrix).
+        # machine precision.  S is solved in place into the first n columns
+        # of the cache-line aligned Fortran-ordered [S | G], which start with
+        # a copy of I + dt/2 A, so S^T is a C-ordered view of the same memory
+        # (see _cache_line_array); the assignment keeps [S | G] whole should
+        # lu_solve return a copy instead.
         a = 0.5 * grid.dt
         eye = np.eye(n)
         lu = lu_factor(eye - a * self.A)
-        S = _cache_line_matrix(n)
+        SG = _cache_line_array((n, n + m), order="F")
+        S = SG[:, :n]
         np.multiply(a, self.A, out=S)
         S += eye
-        self.step_propagator = lu_solve(lu, S, overwrite_b=True)
-        self.step_input_map = lu_solve(lu, self.B)
+        S[...] = lu_solve(lu, S, overwrite_b=True)
+        SG[:, n:] = lu_solve(lu, self.B)
+        self.step_operator = SG
+        self.step_propagator = S
+        self.step_input_map = SG[:, n:]
+        self.block_propagator = _cache_line_array((n, n), order="C")
+        self.block_propagator[...] = S
 
     def solve_R(self, rhs):
         """Solve R y = rhs using the precomputed Cholesky factor; a non-finite

@@ -339,8 +339,8 @@ class TestBlockSweeps:
         # per step, so at the benchmark sizes (n = 100 and 120) a block
         # column is its vector's sweep up to rounding.  The free forward
         # sweep is measured against its input, since heat's 3000 steps
-        # shrink the output by orders of magnitude.  A propagator moved 16
-        # bytes past its cache line steps slower but must give the aligned
+        # shrink the output by orders of magnitude.  Step operands moved 16
+        # bytes past their cache line step slower but must give the aligned
         # run's bits, for vectors and for blocks: alignment moves speed only
         inst = family.build(family.domain.highs)
         P = rng.standard_normal((inst.n, 3))
@@ -352,13 +352,21 @@ class TestBlockSweeps:
         inputs = [P, *P.T]
         runs = [sweeps(x) for x in inputs]
         if offset:
-            S = inst.step_propagator
-            raw = np.empty(S.nbytes + 64 + offset, dtype=np.uint8)
-            start = -raw.ctypes.data % 64 + offset
-            moved = raw[start : start + S.nbytes].view(np.float64).reshape(S.shape, order="F")
-            moved[...] = S
-            assert moved.ctypes.data % 64 == offset and moved.flags.f_contiguous
-            inst.step_propagator = moved
+            def moved(a, order):
+                raw = np.empty(a.nbytes + 64 + offset, dtype=np.uint8)
+                start = -raw.ctypes.data % 64 + offset
+                b = raw[start : start + a.nbytes].view(np.float64).reshape(a.shape, order=order)
+                b[...] = a
+                assert b.ctypes.data % 64 == offset
+                return b
+
+            # [S | G] and S in C order, the operands of a block's steps
+            inst.step_operator = moved(inst.step_operator, "F")
+            inst.step_propagator = inst.step_operator[:, :inst.n]
+            inst.step_input_map = inst.step_operator[:, inst.n:]
+            inst.block_propagator = moved(inst.block_propagator, "C")
+            assert inst.step_propagator.flags.f_contiguous
+            assert inst.block_propagator.flags.c_contiguous
             for x, aligned in zip(inputs, runs):
                 for moved_run, aligned_run in zip(sweeps(x), aligned):
                     np.testing.assert_array_equal(moved_run, aligned_run)

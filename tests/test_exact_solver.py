@@ -108,14 +108,37 @@ class TestNystromPreconditioner:
 
     def test_records_sketch_rank(self):
         # the rank doubles from 8 while the sketch's smallest eigenvalue
-        # exceeds the unit shift, up to half the state dimension; plain CG
-        # and a state too small to sketch record 0
+        # exceeds the unit shift, up to the state dimension; plain CG
+        # records 0, and a scalar state sketches its one column
         wave = build_wave_family(n_y=20).build([6.5])
-        assert solve_exact(wave, cg_tol=1e-9).sketch_rank == 20
+        assert solve_exact(wave, cg_tol=1e-9).sketch_rank == 32
         assert solve_exact(wave, cg_tol=1e-9, preconditioned=False).sketch_rank == 0
         heat = build_heat_family(n_y=40, T=0.1, steps_per_point=10).build([1.5, 1.0])
         assert solve_exact(heat).sketch_rank == 8
-        assert solve_exact(scalar_instance()).sketch_rank == 0
+        assert solve_exact(scalar_instance()).sketch_rank == 1
+
+    @pytest.mark.parametrize("family, mu, batches, rank", [
+        (build_heat_family(n_y=40, T=0.1, steps_per_point=10), [1.5, 1.0], [16], 8),
+        (build_wave_family(n_y=20), [6.5], [16, 16], 32),
+    ], ids=["heat", "wave"])
+    def test_sketch_applies_whole_batches(self, monkeypatch, family, mu, batches, rank):
+        # the test columns go through the operator 16 at a time, and the
+        # doubling rule reads only the first r of them, so the rank is the
+        # one a column-by-column sketch would stop at
+        inst = family.build(mu)
+        applied = []
+
+        def counted(inst, p):
+            applied.append(np.shape(p)[1])
+            return apply_system_operator(inst, p)
+
+        monkeypatch.setattr(dynamics, "apply_system_operator", counted)
+        assert exact_solver.nystrom_preconditioner(inst)[1] == rank
+        assert applied == batches
+        applied.clear()
+        monkeypatch.setattr(exact_solver, "_SKETCH_BATCH", 1)
+        assert exact_solver.nystrom_preconditioner(inst)[1] == rank
+        assert applied == [1] * rank
 
     def test_rank_deficient_sketch_does_not_raise(self):
         # only the first state is controlled, so the Gramian has rank 1 and

@@ -248,6 +248,23 @@ class TestGreedyOffline:
         for step in basis.history[:-1]:
             assert step.true_error_at_selected <= step.estimated_max_error * (1 + 1e-6)
 
+    @pytest.mark.parametrize("family, counts, tol, cg_tol", [
+        (small_heat_family(), [4, 4], 1e-5, 1e-13),
+        (build_wave_family(n_y=8), [9], 3e-2, 1e-9),
+    ], ids=["heat", "wave"])
+    def test_cached_estimate_equals_full_residual(self, family, counts, tol, cg_tol):
+        # the greedy stops on its cached projection residual; the full
+        # residual of each training parameter's expansion must read the same
+        # maximum.  Both configs stop well above the rounding floor, where
+        # the two routes still agree to many digits (gaps of 8.5e-12 and
+        # 7.7e-14 relative)
+        basis, data = greedy_offline(family, sample_grid(family.domain, counts), tol=tol,
+                                     cg_tol=cg_tol)
+        assert basis.size >= 2
+        full = max(error_estimator(family.build(mu), basis.matrix() @ coeffs)[0]
+                   for mu, coeffs in zip(data.parameters, data.coefficients))
+        assert abs(basis.history[-1].estimated_max_error - full) <= 1e-8 * full
+
     def test_rejected_snapshots_are_skipped_with_warning(self, caplog, monkeypatch):
         fam, train = small_train_set((2, 2))
         monkeypatch.setattr(numerics, "DROP_TOL", 10.0)  # every snapshot counts as dependent

@@ -186,3 +186,21 @@ class TestPropagatorLayout:
             assert S.flags.f_contiguous and S.dtype == np.float64
             assert S_T.flags.c_contiguous and np.shares_memory(S, S_T)
             np.testing.assert_array_equal(S_T, S.T)
+
+    @pytest.mark.parametrize("family", [build_heat_family(n_y=30), build_wave_family(n_y=20)],
+                             ids=["heat", "wave"])
+    def test_block_operands_start_on_a_cache_line(self, family):
+        # a block steps with [S^T; G^T] forward and S in C order backward;
+        # the propagator and the input map are column views of [S | G]
+        for mu in sample_random(family.domain, 8, seed=5):
+            inst = family.build(mu)
+            n, m = inst.n, inst.m
+            forward, backward = inst.step_operator.T, inst.block_propagator
+            assert forward.shape == (n + m, n) and forward.flags.c_contiguous
+            assert backward.shape == (n, n) and backward.flags.c_contiguous
+            assert forward.ctypes.data % 64 == 0 and backward.ctypes.data % 64 == 0
+            assert np.shares_memory(inst.step_operator, inst.step_propagator)
+            assert np.shares_memory(inst.step_operator, inst.step_input_map)
+            np.testing.assert_array_equal(inst.step_operator[:, :n], inst.step_propagator)
+            np.testing.assert_array_equal(inst.step_operator[:, n:], inst.step_input_map)
+            np.testing.assert_array_equal(backward, inst.step_propagator)
