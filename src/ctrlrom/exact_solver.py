@@ -38,8 +38,8 @@ class ExactSolution:
     control: np.ndarray  # shape (n_t + 1, m)
     cg_iters: int
     residual_norm: float
-    # test columns the Nystrom preconditioner uses, 0 for plain CG; the
-    # sketch may have applied up to one batch more
+    # test columns the Nystrom preconditioner uses; the sketch may have
+    # applied up to one batch more
     sketch_rank: int
 
 
@@ -110,16 +110,17 @@ def _nystrom(omega, Y):
     return U, s**2
 
 
-def solve_exact(inst, cg_tol=1e-12, max_iter=None, preconditioned=True):
+def solve_exact(inst, cg_tol=1e-12, max_iter=None):
     """Solve the optimal control problem for one instance.
 
-    Runs matrix-free CG on the final-time adjoint system, preconditioned by
-    ``nystrom_preconditioner`` unless ``preconditioned`` is false, then
-    reconstructs the optimal control from the adjoint.  ``residual_norm`` is
-    the residual CG verified on the unpreconditioned system;
-    ConvergenceError is raised if it exceeds ``cg_tol``.
+    The one exact-solve path, for the online exact tier and the greedy's
+    snapshots alike: builds ``nystrom_preconditioner``, runs matrix-free
+    preconditioned CG on the final-time adjoint system, then reconstructs
+    the optimal control from the adjoint.  ``residual_norm`` is the
+    residual CG verified on the unpreconditioned system; ConvergenceError
+    is raised if it exceeds ``cg_tol``.
     """
-    precondition, rank = nystrom_preconditioner(inst) if preconditioned else (None, 0)
+    precondition, rank = nystrom_preconditioner(inst)
     phiT, iters, res = cg_solve(
         lambda p: dynamics.apply_system_operator(inst, p),
         dynamics.rhs_vector(inst),

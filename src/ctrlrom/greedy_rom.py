@@ -2,12 +2,13 @@
 its certified online evaluation.
 
 The offline loop repeatedly selects the training parameter with the largest
-residual estimate, solves that parameter exactly, and extends an orthonormal
-basis with the new final-time adjoint.  An iteration costs one exact solve
-plus 2 sweeps per *distinct* system operator in the training set, since
-parameters that change only the right-hand side share the images of the
-basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  Its
-memory follows the distinct operators, not the training parameters: G
+residual estimate, solves that parameter exactly through the exact tier's
+Nystrom-preconditioned CG (``exact_solver.solve_exact``), and extends an
+orthonormal basis with the new final-time adjoint.  An iteration costs one
+exact solve plus 2 sweeps per *distinct* system operator in the training
+set, since parameters that change only the right-hand side share the images
+of the basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).
+Its memory follows the distinct operators, not the training parameters: G
 instances plus one, the P right-hand sides and G*n*N image columns, for P
 training parameters, G distinct operators, state dimension n and basis size
 N.  It leaves two records of arrays, as their files store them: the
@@ -180,10 +181,10 @@ def greedy_offline(
     parameters that share the operator share its image columns and differ
     only in their right-hand sides.  Previously cached columns stay valid
     because earlier basis vectors never change.  An iteration thus costs one
-    exact solve (plain CG, without the exact tier's preconditioner) plus 2
-    sweeps per distinct system operator in the training set (heat: 8 for the
-    8x8 grid, since mu_2 enters only xT).  The right-hand sides take one
-    uncontrolled sweep per distinct operator and x0.
+    exact solve (``solve_exact``, the exact tier's Nystrom-preconditioned
+    CG) plus 2 sweeps per distinct system operator in the training set
+    (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  The right-hand
+    sides take one uncontrolled sweep per distinct operator and x0.
 
     Each training instance is built once, for its right-hand side and its
     operator key; only the first instance of each operator stays, and the
@@ -249,10 +250,7 @@ def greedy_offline(
                 make_training_data(),
             )
 
-        # plain CG keeps the snapshots' bits: the fixed-parameter 1e-10
-        # checks on the cached estimate read a draw of these bits
-        exact = solve_exact(family.build(train_set[j]), cg_tol=cg_tol, max_iter=cg_max_iter,
-                            preconditioned=False)
+        exact = solve_exact(family.build(train_set[j]), cg_tol=cg_tol, max_iter=cg_max_iter)
         true_err = ip.norm(exact.phiT - basis.matrix() @ coeffs[j])
         new_vec = gram_schmidt_extend(basis.vectors, exact.phiT, ip)
         if new_vec is None:

@@ -692,10 +692,13 @@ class TestCli:
         assert (outdir / "basis.crb").exists()
 
     def test_offline_honours_cg_max_iter(self, tmp_path):
-        # as full-run does, the offline stage stops at the CG iteration cap
-        with pytest.raises(ConvergenceError):
-            main(["offline", "--family", "wave", "--n-y", "8", "--train-grid", "4",
+        # as full-run does, the offline stage stops at the CG iteration cap;
+        # n_y=20 keeps the sketch below full rank, so a snapshot needs more
+        # than the 2 iterations the cap allows
+        with pytest.raises(ConvergenceError) as err:
+            main(["offline", "--family", "wave", "--n-y", "20", "--train-grid", "4",
                   "--cg-max-iter", "2", "--output-dir", str(tmp_path)])
+        assert err.value.iterations == 2
 
     def test_svd_diag_command(self, tmp_path):
         outdir = tmp_path / "svd"

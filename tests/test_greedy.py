@@ -280,15 +280,31 @@ class TestGreedyOffline:
         assert data.coefficients.shape[1] == 0
         assert len(basis.history) == 1
 
-    def test_snapshots_are_solved_without_preconditioner(self, monkeypatch):
-        # the snapshots stay plain CG, so the basis keeps its bits
-        def no_sketch(inst):
-            raise AssertionError("the greedy built a Nystrom sketch")
+    def test_snapshots_are_preconditioned_exact_solves(self, monkeypatch):
+        # each snapshot is the exact tier's solve: one Nystrom sketch, then
+        # CG whose verified residual meets cg_tol
+        sketches, snapshots = [], []
+        sketch = exact_solver.nystrom_preconditioner
 
-        monkeypatch.setattr(exact_solver, "nystrom_preconditioner", no_sketch)
+        def counted_sketch(inst):
+            sketches.append(inst.parameter)
+            return sketch(inst)
+
+        def recorded_solve(*args, **kwargs):
+            snapshots.append(solve_exact(*args, **kwargs))
+            return snapshots[-1]
+
+        monkeypatch.setattr(exact_solver, "nystrom_preconditioner", counted_sketch)
+        monkeypatch.setattr(greedy_rom, "solve_exact", recorded_solve)
         fam, train = small_train_set()
-        basis, _ = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-13)
+        cg_tol = 1e-13
+        basis, _ = greedy_offline(fam, train, tol=1e-5, cg_tol=cg_tol)
         assert basis.size >= 2
+        assert len(sketches) == len(snapshots) == basis.size
+        np.testing.assert_array_equal(sketches, basis.selected_params)
+        for sol in snapshots:
+            assert sol.sketch_rank > 0
+            assert sol.residual_norm <= cg_tol
 
     def test_orthonormality_of_result(self):
         fam, train = small_train_set()

@@ -64,6 +64,13 @@ def test_one_function_resolves_the_config():
     assert _package_readers("default_config") == ["experiment.py:load_config"]
 
 
+def test_one_exact_solve_path():
+    # the online exact tier and the greedy's snapshots both solve through
+    # the preconditioned CG of solve_exact: a second reader would be a
+    # second exact-solve route
+    assert _package_readers("cg_solve") == ["exact_solver.py:solve_exact"]
+
+
 def test_one_function_certifies_a_reduced_answer():
     # the g-rom and every surrogate take their estimate from the one
     # residual: a second reader would be a second certificate route
