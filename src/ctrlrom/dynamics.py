@@ -176,7 +176,9 @@ def operator_key(inst):
     (forward sweep), ``B_adj`` and ``R`` (``_controls``) and ``M``; a
     block's operands ``step_operator`` and ``block_propagator`` hold the
     same values as the propagator and the input map.  Equal
-    keys give bit-identical images.  A 16-byte digest, not the raw bytes, so a key costs no memory.
+    keys give bit-identical images, and bit-identical operators
+    ``exact_solver.assemble_dense_operator``, which reads the same arrays.
+    A 16-byte digest, not the raw bytes, so a key costs no memory.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(np.array([inst.grid.T, inst.grid.n_t, inst.ip.weight]).tobytes())

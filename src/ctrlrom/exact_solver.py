@@ -2,17 +2,23 @@
 any approximate adjoint.
 
 The optimal final-time adjoint solves the dense, self-adjoint and positive
-definite system (I + M Gramian) p = M (free-endpoint - target).  The system
-is never assembled; conjugate gradients only needs operator applications,
-each of which costs one backward and one forward evolution solve (two
-sweeps).  M Gramian is positive semi-definite with a fast-decaying
-spectrum, so a randomized Nystrom approximation of it built from a few
-block applications preconditions CG: on the damped wave, whose operator
-norm is ~1e7, it cuts the iterations tenfold or more.  An exact solve whose
-CG needs no restart costs 2 * (CG iterations) + 4 sweeps: one for the
-right-hand side, two for the verified-residual application at
-convergence, and the backward sweep that yields the solution's control;
-the preconditioner adds 2 block sweeps per batch of 16 test columns.
+definite system (I + M Gramian) p = M (free-endpoint - target).  Conjugate
+gradients applies the operator matrix-free, each application one backward
+and one forward evolution solve (two sweeps), and a preconditioner brings
+the iterations down.  The online exact tier, the paper's matrix-free
+baseline, never assembles the operator: M Gramian is positive
+semi-definite with a fast-decaying spectrum, so a randomized Nystrom
+approximation of it built from a few block applications preconditions CG
+(on the damped wave, whose operator norm is ~1e7, it cuts the iterations
+tenfold or more).  An exact solve whose CG needs no restart costs
+2 * (CG iterations) + 4 sweeps: one for the right-hand side, two for the
+verified-residual application at convergence, and the backward sweep that
+yields the solution's control; the sketch adds 2 block sweeps per batch
+of 16 test columns.  A caller that holds the operator assembled
+(``assemble_dense_operator``, O(n^3 log2 n_t) flops by doubling over the
+time steps), as the greedy and svd-diag do, preconditions with its
+Cholesky factor instead, and CG converges in one step: 6 sweeps, and the
+same verified residual.
 
 The certificate of an approximate adjoint p is the residual norm of that
 system.  By linearity it equals the optimality residual
@@ -22,8 +28,10 @@ control and state.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from . import dynamics
 from .errors import ConvergenceError
@@ -38,8 +46,8 @@ class ExactSolution:
     control: np.ndarray  # shape (n_t + 1, m)
     cg_iters: int
     residual_norm: float
-    # test columns the Nystrom preconditioner uses; the sketch may have
-    # applied up to one batch more
+    # test columns the Nystrom preconditioner uses (the sketch may have
+    # applied up to one batch more), or n for an assembled operator's
     sketch_rank: int
 
 
@@ -110,17 +118,26 @@ def _nystrom(omega, Y):
     return U, s**2
 
 
-def solve_exact(inst, cg_tol=1e-12, max_iter=None):
+def solve_exact(inst, cg_tol=1e-12, max_iter=None, operator=None):
     """Solve the optimal control problem for one instance.
 
     The one exact-solve path, for the online exact tier and the greedy's
-    snapshots alike: builds ``nystrom_preconditioner``, runs matrix-free
-    preconditioned CG on the final-time adjoint system, then reconstructs
-    the optimal control from the adjoint.  ``residual_norm`` is the
-    residual CG verified on the unpreconditioned system; ConvergenceError
-    is raised if it exceeds ``cg_tol``.
+    snapshots alike: runs matrix-free preconditioned CG on the final-time
+    adjoint system, then reconstructs the optimal control from the adjoint.
+    The preconditioner is ``nystrom_preconditioner``'s sketch, or, given
+    ``operator``, the system operator K of ``inst`` assembled by
+    ``assemble_dense_operator``, the Cholesky factor of (K + K^T) / 2: K is
+    at least the identity, so the factor exists, and CG then converges in
+    one step or two (``sketch_rank`` reads n).  Either way CG applies the
+    operator through the sweeps, ``residual_norm`` is the residual CG
+    verified on the unpreconditioned system, and ConvergenceError is raised
+    if it exceeds ``cg_tol``.
     """
-    precondition, rank = nystrom_preconditioner(inst)
+    if operator is None:
+        precondition, rank = nystrom_preconditioner(inst)
+    else:
+        factor = cho_factor(0.5 * (operator + operator.T))
+        precondition, rank = partial(cho_solve, factor), inst.n
     phiT, iters, res = cg_solve(
         lambda p: dynamics.apply_system_operator(inst, p),
         dynamics.rhs_vector(inst),
@@ -156,17 +173,28 @@ def error_estimator(inst, p):
     return eta, control, final_state
 
 
-_DENSE_ORACLE_LIMIT = 64
-
-
 def assemble_dense_operator(inst):
-    """Densely assemble I + M Gramian by applying it to the identity block.
+    """The system operator K = I + M Gramian as a dense (n, n) array.
 
-    Test oracle only; guarded to small instances because assembly applies
-    the operator to n columns at once.
+    The Gramian the sweeps apply is W = (dt/2) P (S^T + I) with
+    P = sum_{j < n_t} S^j C (S^T)^j, S the one-step propagator and
+    C = G R^{-1} B* the input map G times the control map.  P is summed by
+    doubling over the bits of n_t, P_{a+b} = P_b + S^b P_a (S^b)^T, so the
+    assembly costs O(n^3 log2 n_t) flops and a few n x n arrays, not the n
+    columns' sweeps; K agrees with ``dynamics.apply_system_operator`` up to
+    rounding, and equal ``dynamics.operator_key``s give bit-identical K.
     """
-    if inst.n > _DENSE_ORACLE_LIMIT:
-        raise ValueError(
-            f"dense assembly restricted to n <= {_DENSE_ORACLE_LIMIT}, got n = {inst.n}"
-        )
-    return dynamics.apply_system_operator(inst, np.eye(inst.n))
+    S = inst.step_propagator
+    P_b, S_b = inst.step_input_map @ inst.solve_R(inst.B_adj), S  # b = 1
+    P = None  # the sum over the bits of n_t taken so far
+    bits = inst.grid.n_t
+    while True:
+        if bits & 1:
+            P = P_b if P is None else P_b + S_b @ P @ S_b.T
+        bits >>= 1
+        if not bits:
+            break
+        P_b = P_b + S_b @ P_b @ S_b.T
+        S_b = S_b @ S_b
+    W = (0.5 * inst.grid.dt) * (P @ S.T + P)
+    return np.eye(inst.n) + inst.M @ W

@@ -2,19 +2,21 @@
 its certified online evaluation.
 
 The offline loop repeatedly selects the training parameter with the largest
-residual estimate, solves that parameter exactly through the exact tier's
-Nystrom-preconditioned CG (``exact_solver.solve_exact``), and extends an
-orthonormal basis with the new final-time adjoint.  An iteration costs one
-exact solve plus 2 sweeps per *distinct* system operator in the training
-set, since parameters that change only the right-hand side share the images
-of the basis vectors (heat: 8 for the 8x8 grid, since mu_2 enters only xT).
-Its memory follows the distinct operators, not the training parameters: G
-instances plus one, the P right-hand sides and G*n*N image columns, for P
-training parameters, G distinct operators, state dimension n and basis size
-N.  It leaves two records of arrays, as their files store them: the
-``ReducedBasis``, whose vectors are the rows of an (N, n) array grown by one
-row per selection, and ``TrainingData`` for the surrogates, the training
-parameters and their final reduced coefficients.
+residual estimate, solves that parameter exactly (``exact_solver.solve_exact``)
+and extends an orthonormal basis with the new final-time adjoint.  It holds
+the system operator of each *distinct* operator in the training set
+assembled (``exact_solver.assemble_dense_operator``; heat: 8 for the 8x8
+grid, since mu_2 enters only xT), so an iteration costs one exact solve,
+whose CG that operator preconditions to convergence in one step, plus one
+n x n matrix-vector product per distinct operator for the image of the new
+basis vector.  Its memory follows the distinct operators, not the training
+parameters: G assembled operators of n x n and the one instance it solves,
+the P right-hand sides and G*n*N image columns, for P training parameters,
+G distinct operators, state dimension n and basis size N.  It leaves two
+records of arrays, as their files store them: the ``ReducedBasis``, whose
+vectors are the rows of an (N, n) array grown by one row per selection,
+and ``TrainingData`` for the surrogates, the training parameters and their
+final reduced coefficients.
 
 Online, the reduced coefficients for a new parameter solve a small
 normal-equation system built from the images of the basis vectors under the
@@ -34,7 +36,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from . import dynamics, persist
 from .errors import GramMatrixError, GreedyBudgetError
-from .exact_solver import error_estimator, solve_exact
+from .exact_solver import assemble_dense_operator, error_estimator, solve_exact
 from .numerics import InnerProduct, gram_schmidt_extend
 
 log = logging.getLogger(__name__)
@@ -180,18 +182,24 @@ def greedy_offline(
     distinct system operator (``dynamics.operator_key``): training
     parameters that share the operator share its image columns and differ
     only in their right-hand sides.  Previously cached columns stay valid
-    because earlier basis vectors never change.  An iteration thus costs one
-    exact solve (``solve_exact``, the exact tier's Nystrom-preconditioned
-    CG) plus 2 sweeps per distinct system operator in the training set
-    (heat: 8 for the 8x8 grid, since mu_2 enters only xT).  The right-hand
-    sides take one uncontrolled sweep per distinct operator and x0.
+    because earlier basis vectors never change.  Each distinct operator K
+    is assembled once (``assemble_dense_operator``), so an image is the
+    product K @ phi, and an iteration costs one exact solve
+    (``solve_exact`` with ``operator=K``, CG preconditioned by K itself:
+    6 sweeps when CG takes one step, for the right-hand side, the step,
+    the verified residual and the control) plus one n x n product per
+    distinct operator in the training set (heat: 8 for the 8x8 grid, since
+    mu_2 enters only xT).  The right-hand sides take one uncontrolled sweep
+    per distinct operator and x0.
 
-    Each training instance is built once, for its right-hand side and its
-    operator key; only the first instance of each operator stays, and the
+    Each training instance is built once, for its right-hand side, its
+    operator key and, for the first of each operator, its assembly; the
     selected parameter's instance is built again for its exact solve.  The
-    loop thus holds G instances plus one, the P right-hand sides and G*n*N
-    image columns (P training parameters, G distinct operators, state
-    dimension n, basis size N): heat on the 8x8 grid keeps 8 instances, not 64.
+    loop thus holds G assembled operators and one instance, the P
+    right-hand sides and G*n*N image columns (P training parameters, G
+    distinct operators, state dimension n, basis size N): heat on the 8x8
+    grid keeps 8 operators of n x n, each the size of one instance's
+    propagator.
 
     Each history row of a selection also records the true error of the
     selected parameter before its snapshot joins the basis.  Returns the
@@ -204,28 +212,31 @@ def greedy_offline(
         raise ValueError("greedy tolerance must be positive")
 
     train_set = [np.atleast_1d(np.asarray(mu, dtype=float)) for mu in train_set]
-    groups = {}  # operator key -> (its first instance, indices sharing that operator)
+    groups = {}  # operator key -> (its assembled operator, indices sharing it)
+    operators = []  # the assembled operator of each training parameter
     free = {}  # (operator key, x0) -> uncontrolled final state
     rhs = []
     for i, mu in enumerate(train_set):
         inst = family.build(mu)
         key = dynamics.operator_key(inst)
-        groups.setdefault(key, (inst, []))[1].append(i)
+        if key not in groups:
+            groups[key] = (assemble_dense_operator(inst), [])
+        groups[key][1].append(i)
+        operators.append(groups[key][0])
         start = (key, inst.x0.tobytes())
         if start not in free:
             free[start] = dynamics.solve_state_forward(inst, inst.x0)
         rhs.append(inst.M @ (free[start] - inst.xT))  # as dynamics.rhs_vector
-    del inst  # only the first instance of each operator stays alive
+    ip, n = inst.ip, inst.n
+    del inst  # the loop holds no instance, only the assembled operators
     groups = list(groups.values())
-    first = groups[0][0]
-    ip = first.ip
     n_train = len(train_set)
-    columns = [np.zeros((first.n, 0)) for _ in groups]
+    columns = [np.zeros((n, 0)) for _ in groups]
     coeffs = [np.zeros(0) for _ in range(n_train)]
     eta = np.array([ip.norm(r) for r in rhs])
     selectable = np.ones(n_train, dtype=bool)
 
-    basis = ReducedBasis(np.zeros((0, first.n)), np.zeros((0, len(train_set[0]))),
+    basis = ReducedBasis(np.zeros((0, n)), np.zeros((0, len(train_set[0]))),
                          ip=ip, tolerance_used=tol, family_name=family.name)
 
     def make_training_data():
@@ -250,7 +261,8 @@ def greedy_offline(
                 make_training_data(),
             )
 
-        exact = solve_exact(family.build(train_set[j]), cg_tol=cg_tol, max_iter=cg_max_iter)
+        exact = solve_exact(family.build(train_set[j]), cg_tol=cg_tol, max_iter=cg_max_iter,
+                            operator=operators[j])
         true_err = ip.norm(exact.phiT - basis.matrix() @ coeffs[j])
         new_vec = gram_schmidt_extend(basis.vectors, exact.phiT, ip)
         if new_vec is None:
@@ -265,9 +277,8 @@ def greedy_offline(
         basis.vectors = np.vstack([basis.vectors, new_vec])
         basis.selected_params = np.vstack([basis.selected_params, train_set[j]])
 
-        for g, (inst, members) in enumerate(groups):
-            x_new = dynamics.apply_system_operator(inst, new_vec)
-            columns[g] = np.column_stack([columns[g], x_new])
+        for g, (K, members) in enumerate(groups):
+            columns[g] = np.column_stack([columns[g], K @ new_vec])
             for i in members:
                 coeffs[i], eta[i] = _project(columns[g], rhs[i], ip)
 

@@ -177,7 +177,7 @@ class TestSystemOperator:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
     def test_matches_columnwise_dense_assembly(self, rng):
-        # oracle: dense matrix assembled from the identity block
+        # oracle: dense matrix assembled by doubling over the time steps
         from ctrlrom.exact_solver import assemble_dense_operator
 
         fam = build_heat_family(n_y=6, T=0.1, steps_per_point=10)

@@ -300,7 +300,25 @@ class TestDenseOracle:
         gram_part = dense - np.eye(5)
         assert np.max(np.abs(gram_part - gram_part.T)) <= 1e-8
 
-    def test_size_guard(self):
-        fam = build_heat_family(n_y=70, T=0.1, steps_per_point=2)
-        with pytest.raises(ValueError):
-            assemble_dense_operator(fam.build([1.0, 1.0]))
+    def test_assembles_past_the_old_size_limit(self):
+        # no size guard: n = 140 assembles by doubling and matches the
+        # operator applied by sweeps to the identity block
+        inst = build_heat_family(n_y=140, T=0.1, steps_per_point=2).build([1.0, 1.0])
+        dense = assemble_dense_operator(inst)
+        by_sweeps = apply_system_operator(inst, np.eye(inst.n))
+        assert dense.shape == (140, 140)
+        assert np.max(np.abs(dense - by_sweeps)) <= 1e-12 * np.max(np.abs(by_sweeps))
+
+    @pytest.mark.parametrize("family, mu", [
+        (build_heat_family(), [1.3, 0.9]),
+        (build_wave_family(n_y=60), [6.5]),
+    ], ids=["heat", "wave"])
+    def test_agrees_with_the_sweeps_at_paper_scale(self, family, mu):
+        inst = family.build(mu)
+        assert inst.n in (100, 120)
+        dense = assemble_dense_operator(inst)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            v = rng.standard_normal(inst.n)
+            image = apply_system_operator(inst, v)
+            assert np.max(np.abs(dense @ v - image)) <= 1e-12 * np.max(np.abs(image))

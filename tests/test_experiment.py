@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ctrlrom
-from ctrlrom import experiment, persist
+from ctrlrom import exact_solver, experiment, persist
 from ctrlrom.cli import FLAGS, _report, _resolve_config, build_parser, main
 from ctrlrom.errors import ConvergenceError, GreedyBudgetError
 from ctrlrom.experiment import (
@@ -405,6 +405,22 @@ class TestRunExperiment:
                      "surrogate_gpr.bin", "surrogate_mlp.bin"):
             assert (outdir / name).read_bytes() == (rerun_dir / name).read_bytes(), name
 
+    def test_online_exact_solves_sketch_their_preconditioner(self, tmp_path, monkeypatch):
+        # criterion 8 times the exact tier as the paper's matrix-free
+        # baseline: each online exact solve builds its own Nystrom sketch,
+        # one per test parameter, and none takes an assembled operator (the
+        # greedy's snapshots sketch nothing)
+        sketched, sketch = [], exact_solver.nystrom_preconditioner
+
+        def counted_sketch(inst):
+            sketched.append(inst.parameter)
+            return sketch(inst)
+
+        monkeypatch.setattr(exact_solver, "nystrom_preconditioner", counted_sketch)
+        report = run_experiment(tiny_heat_config(tmp_path))
+        assert len(report.parameters) == 4
+        np.testing.assert_array_equal(sketched, report.parameters)
+
     def test_zero_test_count_gives_history_only(self, tmp_path):
         cfg = tiny_heat_config(tmp_path, test_count=0)
         report = run_experiment(cfg)
@@ -693,12 +709,13 @@ class TestCli:
 
     def test_offline_honours_cg_max_iter(self, tmp_path):
         # as full-run does, the offline stage stops at the CG iteration cap;
-        # n_y=20 keeps the sketch below full rank, so a snapshot needs more
-        # than the 2 iterations the cap allows
+        # the greedy's snapshots take one step preconditioned by the
+        # assembled operator, which leaves a residual near 1e-12 on wave
+        # n_y=8, so a cg_tol of 1e-14 needs more than the 1 step the cap allows
         with pytest.raises(ConvergenceError) as err:
-            main(["offline", "--family", "wave", "--n-y", "20", "--train-grid", "4",
-                  "--cg-max-iter", "2", "--output-dir", str(tmp_path)])
-        assert err.value.iterations == 2
+            main(["offline", "--family", "wave", "--n-y", "8", "--train-grid", "4",
+                  "--cg-tol", "1e-14", "--cg-max-iter", "1", "--output-dir", str(tmp_path)])
+        assert err.value.iterations == 1
 
     def test_svd_diag_command(self, tmp_path):
         outdir = tmp_path / "svd"

@@ -281,17 +281,19 @@ class TestGreedyOffline:
         assert len(basis.history) == 1
 
     def test_snapshots_are_preconditioned_exact_solves(self, monkeypatch):
-        # each snapshot is the exact tier's solve: one Nystrom sketch, then
-        # CG whose verified residual meets cg_tol
-        sketches, snapshots = [], []
+        # each snapshot is the exact tier's solve, preconditioned by the
+        # greedy's assembled operator: no Nystrom sketch, and CG whose
+        # verified residual meets cg_tol within two steps
+        sketches, solved, snapshots = [], [], []
         sketch = exact_solver.nystrom_preconditioner
 
         def counted_sketch(inst):
             sketches.append(inst.parameter)
             return sketch(inst)
 
-        def recorded_solve(*args, **kwargs):
-            snapshots.append(solve_exact(*args, **kwargs))
+        def recorded_solve(inst, *args, **kwargs):
+            solved.append(inst.parameter)
+            snapshots.append(solve_exact(inst, *args, **kwargs))
             return snapshots[-1]
 
         monkeypatch.setattr(exact_solver, "nystrom_preconditioner", counted_sketch)
@@ -300,11 +302,13 @@ class TestGreedyOffline:
         cg_tol = 1e-13
         basis, _ = greedy_offline(fam, train, tol=1e-5, cg_tol=cg_tol)
         assert basis.size >= 2
-        assert len(sketches) == len(snapshots) == basis.size
-        np.testing.assert_array_equal(sketches, basis.selected_params)
+        assert sketches == []
+        assert len(snapshots) == basis.size
+        np.testing.assert_array_equal(solved, basis.selected_params)
         for sol in snapshots:
-            assert sol.sketch_rank > 0
+            assert sol.sketch_rank == basis.vectors.shape[1]
             assert sol.residual_norm <= cg_tol
+            assert sol.cg_iters <= 2
 
     def test_orthonormality_of_result(self):
         fam, train = small_train_set()
@@ -327,17 +331,30 @@ class TestOperatorGroups:
         assert key(heat, [1.5, 0.5]) == key(heat, [1.5, 1.5])
         assert key(heat, [1.5, 0.5]) != key(heat, [1.25, 0.5])
         assert key(wave, [3.0]) != key(wave, [4.0])
+        # equal keys assemble the same operator, bit for bit
+        assert (exact_solver.assemble_dense_operator(heat.build([1.5, 0.5])).tobytes()
+                == exact_solver.assemble_dense_operator(heat.build([1.5, 1.5])).tobytes())
 
     def test_one_image_per_distinct_operator(self, monkeypatch):
-        # a 3 x 4 heat grid has 3 distinct operators, so an iteration applies
-        # one of them 3 times, not once per training parameter (12)
+        # a 3 x 4 heat grid has 3 distinct operators: the greedy assembles
+        # each once, not once per training parameter (12), and takes every
+        # image as a product with it, applying no operator by sweeps
         fam = build_heat_family(n_y=12)
         train = sample_grid(fam.domain, [3, 4])
+        assembled, assemble = [], greedy_rom.assemble_dense_operator
+
+        def counted_assemble(inst):
+            assembled.append(inst.parameter)
+            return assemble(inst)
+
+        monkeypatch.setattr(greedy_rom, "assemble_dense_operator", counted_assemble)
         # the exact solve's CG applies are not images
         images = calls_outside_exact_solves(monkeypatch, "apply_system_operator")
         basis, _ = greedy_offline(fam, train, tol=1e-5, cg_tol=1e-12)
         assert basis.size >= 2
-        assert len(images) == 3 * basis.size
+        assert len(assembled) == 3
+        assert len({mu[0] for mu in assembled}) == 3  # one per conductivity
+        assert images == []
 
     @pytest.mark.parametrize("family, expected", [
         (build_heat_family(n_y=12), 3),  # 3 operators, one x0
@@ -355,7 +372,8 @@ class TestOperatorGroups:
 
     def test_live_instances_follow_distinct_operators(self, monkeypatch):
         # a 2 x 4 heat grid: 8 parameters, 2 operators; during an exact solve
-        # the greedy holds one instance per operator and the one it solves
+        # the greedy holds the 2 operators assembled and only the instance it
+        # solves
         heat = small_heat_family()
         built = []
 
@@ -376,7 +394,7 @@ class TestOperatorGroups:
         basis, _ = greedy_offline(family, sample_grid(family.domain, [2, 4]), tol=1e-6,
                                   cg_tol=1e-13)
         assert len(built) >= 8 and len(live) == basis.size >= 2
-        assert max(live) <= 3
+        assert max(live) == 1
 
     @pytest.mark.parametrize("family, counts, tol, cg_tol", [
         (build_heat_family(n_y=12), [3, 4], 1e-5, 1e-12),
